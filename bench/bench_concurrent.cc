@@ -132,7 +132,9 @@ BENCHMARK(BM_SessionChurnSharedPlanCache)
 /// per iteration while every other thread executes the prepared query.
 /// Readers never block on the writer (they capture a snapshot and go);
 /// what this measures is the end-to-end cost of reading under constant
-/// invalidation pressure — every mod-count bump stales the plan caches.
+/// write pressure — every mod-count bump makes the next read re-probe its
+/// plan's emptiness verdicts (a revalidation, not a replan: the writer's
+/// keys never flip a verdict or double the relation).
 void BM_SnapshotReadsUnderWrites(benchmark::State& state) {
   ServingDb& shared = SharedMixedDb();
   auto session = shared.manager->CreateSession();

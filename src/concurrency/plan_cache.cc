@@ -4,6 +4,7 @@
 
 #include "base/atomic_util.h"
 #include "base/str_util.h"
+#include "opt/plan_stamp.h"
 #include "opt/planner.h"
 
 namespace pascalr {
@@ -11,12 +12,13 @@ namespace pascalr {
 std::string EncodePlannerOptions(const PlannerOptions& o) {
   return StrFormat(
       "level=%d div=%d permidx=%d cnf=%d cost=%d ordidx=%d dp=%d dpmax=%zu "
-      "bushy=%d pipe=%d coll=%d",
+      "bushy=%d pipe=%d coll=%d batch=%zu par=%zu",
       static_cast<int>(o.level), static_cast<int>(o.division),
       o.use_permanent_indexes ? 1 : 0, o.use_cnf_extensions ? 1 : 0,
       o.cost_based ? 1 : 0, o.prefer_ordered_indexes ? 1 : 0,
       o.join_order_dp ? 1 : 0, o.join_dp_max_inputs, o.join_dp_bushy ? 1 : 0,
-      o.pipeline ? 1 : 0, static_cast<int>(o.collection));
+      o.pipeline ? 1 : 0, static_cast<int>(o.collection), o.batch_size,
+      o.parallel);
 }
 
 bool SharedPlanCache::Lookup(const std::string& key,
@@ -95,9 +97,9 @@ std::vector<SharedPlanCache::Description> SharedPlanCache::Describe() const {
   for (const auto& [key, entry] : entries_) {
     Description d;
     d.key = key;
-    d.stats_epoch = entry.stats_epoch;
-    d.relations = entry.rel_mods.size();
-    d.param_probes = entry.template_range_empty.size() + entry.plan_probes.size();
+    d.stats_epoch = entry.stamp->stats_epoch;
+    d.relations = entry.stamp->relations.size();
+    d.verdicts = entry.planned->verdicts.size();
     out.push_back(std::move(d));
   }
   return out;

@@ -2,17 +2,20 @@
 // Database, so N sessions preparing the same selection share ONE plan
 // search instead of each paying for its own. Keyed on the normalized
 // selection source (calculus/printer.h FormatSelection) plus an encoding
-// of the session's PlannerOptions; each entry carries the validity stamps
-// the per-PreparedQuery cache already uses — catalog stats epoch,
-// per-relation (name, mod_count) watermarks, and the plan-time emptiness
-// verdicts of every parameter-dependent range (Lemma-1 / rule-2 safety).
+// of the session's PlannerOptions; each entry carries the plan's validity
+// stamp (opt/plan_stamp.h — stats epoch, options, per-relation id /
+// mod_count / cardinality) next to the plan, whose emptiness verdicts
+// (PlannedQuery::verdicts) complete what the stamp is checked against.
 //
 // The cache stores plans, it does not judge them: Lookup returns the raw
-// entry and the prepared layer (pascalr/prepared.cc) validates the stamps
-// under ITS snapshot and bindings, clones the plan (plans are patched in
-// place per execution, so sessions must never share one mutable plan
-// object), and reports the outcome back through RecordHit/RecordMiss —
-// which feed ConcurrencyCounters::shared_plan_{hits,misses}.
+// entry and the prepared layer (pascalr/prepared.cc) runs the same
+// CheckPlan its private cache uses, under ITS snapshot and bindings — so
+// another session's write does not void an entry, it only makes the
+// adopter re-probe the verdicts. The adopter clones the plan (plans are
+// patched in place per execution, so sessions must never share one
+// mutable plan object) and reports the outcome back through
+// RecordHit/RecordMiss — which feed ConcurrencyCounters::
+// shared_plan_{hits,misses}.
 //
 // Entries are immutable once inserted; a newer plan for the same key
 // replaces the older one. Bounded FIFO eviction. All operations take one
@@ -35,8 +38,9 @@
 
 namespace pascalr {
 
-struct PlannedQuery;   // opt/planner.h
+struct PlannedQuery;    // opt/planner.h
 struct PlannerOptions;  // opt/planner.h
+struct PlanStamp;       // opt/plan_stamp.h
 
 /// Stable textual encoding of every PlannerOptions field that
 /// participates in plan choice — the options half of the cache key.
@@ -48,15 +52,8 @@ struct SharedPlanEntry {
   /// The plan as compiled (parameter slots carry the *compiling*
   /// session's bindings — adopters must clone and re-patch).
   std::shared_ptr<const PlannedQuery> planned;
-  uint64_t stats_epoch = 0;
-  /// Referenced relations' (name, mod_count) at plan time.
-  std::vector<std::pair<std::string, uint64_t>> rel_mods;
-  /// Plan-time emptiness of each parameter-carrying template range, in
-  /// CollectParamRanges order (deterministic for one source string), and
-  /// of each parameter-carrying plan-prefix range by prefix position. An
-  /// adopter whose bindings flip any verdict must not use the plan.
-  std::vector<bool> template_range_empty;
-  std::vector<std::pair<size_t, bool>> plan_probes;
+  /// What it was compiled against; adopters check a copy.
+  std::shared_ptr<const PlanStamp> stamp;
 };
 
 class SharedPlanCache {
@@ -89,8 +86,8 @@ class SharedPlanCache {
   struct Description {
     std::string key;
     uint64_t stats_epoch = 0;
-    size_t relations = 0;     // rel_mods watermarks carried
-    size_t param_probes = 0;  // template + plan-prefix emptiness probes
+    size_t relations = 0;  // relation marks in the stamp
+    size_t verdicts = 0;   // emptiness verdicts the plan relies on
   };
   std::vector<Description> Describe() const;
 

@@ -195,7 +195,7 @@ Status FillRelations(Database* db, Relation* rel) {
 // ---- sys$plan_cache ---------------------------------------------------
 Result<Schema> PlanCacheSchema() {
   return Schema::Make({StrCol("cache_key"), IntCol("stats_epoch"),
-                       IntCol("relations"), IntCol("param_probes")},
+                       IntCol("relations"), IntCol("verdicts")},
                       {"cache_key"});
 }
 
@@ -205,7 +205,7 @@ Status FillPlanCache(Database* db, Relation* rel) {
     t.Append(V(d.key));
     t.Append(V(d.stats_epoch));
     t.Append(V(d.relations));
-    t.Append(V(d.param_probes));
+    t.Append(V(d.verdicts));
     PASCALR_ASSIGN_OR_RETURN(Ref ignored, rel->Insert(std::move(t)));
     (void)ignored;
   }

@@ -202,33 +202,6 @@ Status BindFormulaParams(Formula* f, const ParamBindings& bindings) {
   return status;
 }
 
-void CollectParamRanges(const Formula& f, std::vector<RangeExpr>* out) {
-  switch (f.kind()) {
-    case FormulaKind::kConst:
-    case FormulaKind::kCompare:
-      return;
-    case FormulaKind::kNot:
-      CollectParamRanges(f.child(), out);
-      return;
-    case FormulaKind::kAnd:
-    case FormulaKind::kOr:
-      for (const FormulaPtr& c : f.children()) CollectParamRanges(*c, out);
-      return;
-    case FormulaKind::kQuant:
-      if (RangeHasParams(f.range())) out->push_back(f.range().Clone());
-      CollectParamRanges(f.child(), out);
-      return;
-  }
-}
-
-void CollectParamRanges(const SelectionExpr& sel,
-                        std::vector<RangeExpr>* out) {
-  for (const RangeDecl& decl : sel.free_vars) {
-    if (RangeHasParams(decl.range)) out->push_back(decl.range.Clone());
-  }
-  if (sel.wff != nullptr) CollectParamRanges(*sel.wff, out);
-}
-
 bool RangeHasParams(const RangeExpr& range) {
   return range.IsExtended() && OperandsHaveParams(*range.restriction);
 }

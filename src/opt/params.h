@@ -58,15 +58,6 @@ bool FormulaHasParams(const Formula& f);
 /// operands and previously substituted literal slots alike).
 Status BindFormulaParams(Formula* f, const ParamBindings& bindings);
 
-/// Appends a clone of every quantifier range under `f` — and, separately,
-/// of the free-variable ranges a caller passes through the SelectionExpr
-/// overload — whose restriction carries parameter tags. These are the
-/// ranges whose emptiness (and with it the planner's Lemma-1 / rule-2
-/// adaptation decisions) can change between executions of the same cached
-/// plan when the parameter values change.
-void CollectParamRanges(const Formula& f, std::vector<RangeExpr>* out);
-void CollectParamRanges(const SelectionExpr& sel, std::vector<RangeExpr>* out);
-
 /// True when `range`'s restriction (if any) carries a parameter tag.
 bool RangeHasParams(const RangeExpr& range);
 

@@ -64,6 +64,10 @@ PlannedQuery ClonePlannedQuery(const PlannedQuery& planned) {
   out.quant_pushdown_summary = planned.quant_pushdown_summary;
   out.adaptation_notes = planned.adaptation_notes;
   out.replans = planned.replans;
+  out.verdicts.reserve(planned.verdicts.size());
+  for (const EmptinessVerdict& v : planned.verdicts) {
+    out.verdicts.push_back({v.range.Clone(), v.was_empty});
+  }
   out.cost_based = planned.cost_based;
   out.estimate = planned.estimate;
   out.cost_candidates = planned.cost_candidates;
@@ -73,10 +77,42 @@ PlannedQuery ClonePlannedQuery(const PlannedQuery& planned) {
 
 namespace {
 
+/// Records the emptiness verdicts the plan relies on, each distinct range
+/// once (rule 1 probes a range in the prefix scan and again in the fold).
+class VerdictLog {
+ public:
+  VerdictLog(const Database& db, std::vector<EmptinessVerdict>* out)
+      : db_(db), out_(out) {}
+
+  /// Rule 1: probes and records — a folded-away range matters as much as
+  /// a kept one.
+  bool IsEmpty(const RangeExpr& range) {
+    const bool empty = RangeIsEmpty(db_, range);
+    Record(range, empty);
+    return empty;
+  }
+
+  void Record(const RangeExpr& range, bool empty) {
+    for (const EmptinessVerdict& v : *out_) {
+      if (v.range.relation == range.relation &&
+          v.range.IsExtended() == range.IsExtended() &&
+          (!range.IsExtended() ||
+           v.range.restriction->Equals(*range.restriction))) {
+        return;
+      }
+    }
+    out_->push_back({range.Clone(), empty});
+  }
+
+ private:
+  const Database& db_;
+  std::vector<EmptinessVerdict>* out_;
+};
+
 /// Builds the standard form and applies adaptation rule 1: folds
 /// quantifiers whose (base or user-extended) range is empty.
-Result<StandardForm> StandardFormWithFolding(const Database& db,
-                                             BoundQuery query,
+Result<StandardForm> StandardFormWithFolding(BoundQuery query,
+                                             VerdictLog* verdicts,
                                              std::string* notes,
                                              uint64_t* replans) {
   TraceSpanGuard trace_span(spans::kNormalize);
@@ -85,7 +121,7 @@ Result<StandardForm> StandardFormWithFolding(const Database& db,
   bool any_empty = false;
   for (const QuantifiedVar& qv : sf.prefix) {
     if (qv.quantifier == Quantifier::kFree) continue;
-    if (RangeIsEmpty(db, qv.range)) {
+    if (verdicts->IsEmpty(qv.range)) {
       any_empty = true;
       *notes += "  adapted: range of " + qv.var + " is empty (Lemma 1)\n";
     }
@@ -94,7 +130,7 @@ Result<StandardForm> StandardFormWithFolding(const Database& db,
   ++*replans;
   FormulaPtr folded = FoldEmptyRanges(
       sf.original_nnf->Clone(),
-      [&](const RangeExpr& range) { return RangeIsEmpty(db, range); });
+      [&](const RangeExpr& range) { return verdicts->IsEmpty(range); });
   return RebuildStandardForm(sf, std::move(folded));
 }
 
@@ -118,11 +154,12 @@ Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
                             std::string(OptLevelToString(options.level)));
   PlannedQuery out;
   BoundQuery backup = CloneBoundQuery(query);
+  VerdictLog verdicts(db, &out.verdicts);
 
   PASCALR_ASSIGN_OR_RETURN(
       StandardForm sf,
-      StandardFormWithFolding(db, std::move(query), &out.adaptation_notes,
-                              &out.replans));
+      StandardFormWithFolding(std::move(query), &verdicts,
+                              &out.adaptation_notes, &out.replans));
 
   OptLevel level = options.level;
   if (level >= OptLevel::kRangeExt) {
@@ -143,8 +180,16 @@ Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
       level = OptLevel::kOneStep;
       out.range_extension = RangeExtensionReport();
       PASCALR_ASSIGN_OR_RETURN(
-          sf, StandardFormWithFolding(db, std::move(backup),
+          sf, StandardFormWithFolding(std::move(backup), &verdicts,
                                       &out.adaptation_notes, &out.replans));
+    } else {
+      // The extensions stand, and stay exact only while every extended
+      // range is non-empty. An abandoned extension records nothing: the
+      // level-2 fallback is exact either way (rule 1 holding), so the
+      // range filling up later costs speed, never tuples.
+      for (const QuantifiedVar& qv : sf.prefix) {
+        if (qv.range.IsExtended()) verdicts.Record(qv.range, false);
+      }
     }
   }
 

@@ -101,6 +101,19 @@ inline bool operator!=(const PlannerOptions& a, const PlannerOptions& b) {
   return !(a == b);
 }
 
+/// One emptiness verdict the planner acted on: a quantified range probed
+/// for adaptation rule 1 (Lemma 1 folding), or an extended prefix range
+/// that kept strategy-3 extensions rely on being non-empty (rule 2). A
+/// compiled plan depends on the data only through these verdicts —
+/// cardinalities and statistics decide its speed, never its tuples — so
+/// it stays correct for as long as every recorded range keeps its
+/// verdict. Parameter-tagged restrictions carry the plan-time
+/// values; re-probes substitute the current bindings first.
+struct EmptinessVerdict {
+  RangeExpr range;
+  bool was_empty = false;
+};
+
 /// A fully planned (not yet executed) query with its transformation trail.
 struct PlannedQuery {
   QueryPlan plan;
@@ -108,6 +121,9 @@ struct PlannedQuery {
   QuantPushdownResult quant_pushdown_summary;  ///< value_lists empty; text only
   std::string adaptation_notes;  ///< runtime adaptations that fired
   uint64_t replans = 0;
+  /// Every distinct emptiness verdict the plan relies on (rules 1 and 2),
+  /// in probe order — what opt/plan_stamp.h re-checks after a write.
+  std::vector<EmptinessVerdict> verdicts;
 
   /// Cost-based selection trail (OptLevel::kAuto / cost_based): the
   /// chosen plan's estimate and one line per candidate considered.

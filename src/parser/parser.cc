@@ -6,6 +6,29 @@
 
 namespace pascalr {
 
+namespace {
+
+/// Holds one formula nesting level for its scope.
+class FormulaDepthGuard {
+ public:
+  explicit FormulaDepthGuard(size_t* depth) : depth_(depth) { ++*depth_; }
+  ~FormulaDepthGuard() { --*depth_; }
+  FormulaDepthGuard(const FormulaDepthGuard&) = delete;
+  FormulaDepthGuard& operator=(const FormulaDepthGuard&) = delete;
+
+  bool too_deep() const { return *depth_ > Parser::kMaxFormulaDepth; }
+
+ private:
+  size_t* depth_;
+};
+
+std::string TooDeep() {
+  return StrFormat("formula nested more than %zu levels deep",
+                   Parser::kMaxFormulaDepth);
+}
+
+}  // namespace
+
 Status Parser::Init() {
   ++GlobalCompileCounters().parses;
   Lexer lexer(source_);
@@ -508,6 +531,8 @@ Result<FormulaPtr> Parser::ParseConj() {
 }
 
 Result<FormulaPtr> Parser::ParseUnary() {
+  FormulaDepthGuard depth(&formula_depth_);
+  if (depth.too_deep()) return ErrorHere(TooDeep());
   switch (Cur().type) {
     case TokenType::kKwNot: {
       Advance();
@@ -540,6 +565,8 @@ Result<FormulaPtr> Parser::ParseUnary() {
 }
 
 Result<FormulaPtr> Parser::ParseQuant() {
+  FormulaDepthGuard depth(&formula_depth_);
+  if (depth.too_deep()) return ErrorHere(TooDeep());
   Quantifier q =
       Check(TokenType::kKwSome) ? Quantifier::kSome : Quantifier::kAll;
   Advance();

@@ -181,6 +181,12 @@ struct Script {
 
 class Parser {
  public:
+  /// Deepest formula nesting accepted: each NOT, parenthesis, quantifier
+  /// and extended-range restriction opens one level. Deeper input is a
+  /// ParseError, not a stack overflow — here or in the normalization
+  /// passes, which recurse over the formula tree too.
+  static constexpr size_t kMaxFormulaDepth = 256;
+
   explicit Parser(std::string_view source) : source_(source) {}
 
   /// Parses a whole script.
@@ -235,6 +241,7 @@ class Parser {
   std::string_view source_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t formula_depth_ = 0;  ///< open ParseUnary / ParseQuant frames
 };
 
 }  // namespace pascalr

@@ -57,8 +57,6 @@ Status PreparedQuery::State::Rebind(const Database* db) {
   RecordBoundRelations();
   planned.reset();
   last_bindings.clear();
-  template_probes.clear();
-  plan_probes.clear();
   ++stats.rebinds;
   return Status::OK();
 }
@@ -91,128 +89,60 @@ Status PreparedQuery::EnsurePlan(const ParamBindings& params,
   }
   if (!template_ok) PASCALR_RETURN_IF_ERROR(st.Rebind(&db));
 
-  // 2. Plan-cache validity: same catalog-stats epoch, same relation
-  // mod_counts, same planner options.
-  bool valid = st.planned != nullptr &&
-               db.stats_epoch() == st.stamp_epoch &&
-               session_->options_ == st.stamp_options;
-  if (valid) {
-    for (const auto& [name, mod] : st.stamp_mods) {
-      Relation* rel = db.FindRelation(name);
-      if (rel == nullptr || rel->mod_count() != mod) {
-        valid = false;
-        break;
-      }
-    }
-  }
-  if (valid) {
-    // Re-patch the parameter slots of the cached plan in place — this is
-    // the whole fast path: no parse, no normalization, no plan search.
-    if (bound != st.last_bindings) {
-      PatchPlanParams(&st.planned->plan, bound);
-      st.last_bindings = bound;
-    }
-    // Safety: adaptation decisions (Lemma 1 folding, rule-2 extension
-    // abandonment) were taken under the plan-time values. If a parameter
-    // inside an extended range now flips that range's emptiness, the
-    // cached plan could return wrong tuples — replan instead.
-    for (const auto& [range, was_empty] : st.template_probes) {
-      RangeExpr probe = range.Clone();
-      if (probe.IsExtended()) {
-        PASCALR_RETURN_IF_ERROR(
-            BindFormulaParams(probe.restriction.get(), bound));
-      }
-      if (RangeIsEmpty(db, probe) != was_empty) {
-        valid = false;
-        break;
-      }
-    }
-    if (valid) {
-      for (const auto& [idx, was_empty] : st.plan_probes) {
-        if (idx >= st.planned->plan.sf.prefix.size() ||
-            RangeIsEmpty(db, st.planned->plan.sf.prefix[idx].range) !=
-                was_empty) {
-          valid = false;
-          break;
-        }
-      }
-    }
-  }
-  if (valid) {
+  // 2. Private plan cache: one CheckPlan (opt/plan_stamp.h) under our
+  // snapshot and bindings. A hit re-patches the parameter slots in place —
+  // the whole fast path: no parse, no normalization, no plan search.
+  const PlannerOptions& options = session_->options_;
+  auto count_hit = [&](PlanValidity validity, const char* counter) {
     *cache_hit = true;
     ++st.stats.plan_cache_hits;
-    session_->metrics_.counter("plan_cache.hits").Inc();
-    return Status::OK();
+    session_->metrics_.counter(counter).Inc();
+    if (validity == PlanValidity::kRevalidated) {
+      ++st.stats.revalidations;
+      session_->metrics_.counter("plan_cache.revalidations").Inc();
+    }
+  };
+  if (st.planned != nullptr) {
+    const bool rebound = bound != st.last_bindings;
+    PASCALR_ASSIGN_OR_RETURN(
+        PlanValidity validity,
+        CheckPlan(db, options, st.planned->verdicts, bound, rebound,
+                  &st.stamp));
+    if (validity != PlanValidity::kStale) {
+      if (rebound) {
+        PatchPlanParams(&st.planned->plan, bound);
+        st.last_bindings = std::move(bound);
+      }
+      count_hit(validity, "plan_cache.hits");
+      return Status::OK();
+    }
   }
 
   // 2b. Shared plan cache (concurrent serving only): another session may
   // already have compiled this exact selection under these options. The
-  // cache stores, the adopter judges: every stamp and probe verdict is
-  // re-validated here under OUR snapshot and OUR bindings, and the plan
-  // is cloned before parameter patching (sessions never share a mutable
-  // plan object).
+  // cache stores, the adopter judges: the same CheckPlan runs on a copy of
+  // the entry's stamp under OUR snapshot and OUR bindings, and the plan is
+  // cloned before parameter patching (sessions never share a mutable plan
+  // object).
   const bool shared_cache_on = db.serving();
   std::string shared_key;
   if (shared_cache_on) {
-    shared_key = st.source + "|" + EncodePlannerOptions(session_->options_);
+    shared_key = st.source + "|" + EncodePlannerOptions(options);
     SharedPlanEntry entry;
-    bool adoptable = db.shared_plans().Lookup(shared_key, &entry) &&
-                     entry.planned != nullptr &&
-                     entry.stats_epoch == db.stats_epoch();
-    if (adoptable) {
-      for (const auto& [name, mod] : entry.rel_mods) {
-        Relation* rel = db.FindRelation(name);
-        if (rel == nullptr || rel->mod_count() != mod) {
-          adoptable = false;
-          break;
-        }
-      }
-    }
-    std::vector<std::pair<RangeExpr, bool>> fresh_probes;
-    if (adoptable) {
-      // Lemma-1 safety under our values: every parameter-carrying template
-      // range must be empty-vs-nonempty exactly as it was at plan time.
-      std::vector<RangeExpr> param_ranges;
-      CollectParamRanges(st.template_query.selection, &param_ranges);
-      adoptable = param_ranges.size() == entry.template_range_empty.size();
-      for (size_t i = 0; adoptable && i < param_ranges.size(); ++i) {
-        RangeExpr probe = param_ranges[i].Clone();
-        PASCALR_RETURN_IF_ERROR(
-            BindFormulaParams(probe.restriction.get(), bound));
-        const bool is_empty = RangeIsEmpty(db, probe);
-        if (is_empty != entry.template_range_empty[i]) {
-          adoptable = false;
-        } else {
-          fresh_probes.emplace_back(std::move(param_ranges[i]), is_empty);
-        }
-      }
-    }
-    if (adoptable) {
-      auto adopted =
-          std::make_shared<PlannedQuery>(ClonePlannedQuery(*entry.planned));
-      PatchPlanParams(&adopted->plan, bound);
-      // Rule-2 safety: strategy-3 extended prefix ranges must keep their
-      // plan-time emptiness verdict under our bindings.
-      for (const auto& [idx, was_empty] : entry.plan_probes) {
-        if (idx >= adopted->plan.sf.prefix.size() ||
-            RangeIsEmpty(db, adopted->plan.sf.prefix[idx].range) !=
-                was_empty) {
-          adoptable = false;
-          break;
-        }
-      }
-      if (adoptable) {
-        st.planned = std::move(adopted);
+    if (db.shared_plans().Lookup(shared_key, &entry)) {
+      PlanStamp stamp = *entry.stamp;
+      PASCALR_ASSIGN_OR_RETURN(
+          PlanValidity validity,
+          CheckPlan(db, options, entry.planned->verdicts, bound,
+                    /*bindings_changed=*/true, &stamp));
+      if (validity != PlanValidity::kStale) {
+        st.planned =
+            std::make_shared<PlannedQuery>(ClonePlannedQuery(*entry.planned));
+        PatchPlanParams(&st.planned->plan, bound);
         st.last_bindings = std::move(bound);
-        st.stamp_epoch = entry.stats_epoch;
-        st.stamp_options = session_->options_;
-        st.stamp_mods = std::move(entry.rel_mods);
-        st.template_probes = std::move(fresh_probes);
-        st.plan_probes = std::move(entry.plan_probes);
+        st.stamp = std::move(stamp);
         db.shared_plans().RecordHit();
-        *cache_hit = true;
-        ++st.stats.plan_cache_hits;
-        session_->metrics_.counter("plan_cache.shared_hits").Inc();
+        count_hit(validity, "plan_cache.shared_hits");
         return Status::OK();
       }
     }
@@ -225,38 +155,12 @@ Status PreparedQuery::EnsurePlan(const ParamBindings& params,
   // plan search estimates selectivity from these very values.
   BoundQuery query = CloneBoundQuery(st.template_query);
   PASCALR_RETURN_IF_ERROR(BindSelectionParams(&query.selection, bound));
-  PASCALR_ASSIGN_OR_RETURN(
-      PlannedQuery planned,
-      PlanQuery(db, std::move(query), session_->options_));
+  PASCALR_ASSIGN_OR_RETURN(PlannedQuery planned,
+                           PlanQuery(db, std::move(query), options));
   st.planned = std::make_shared<PlannedQuery>(std::move(planned));
   ++st.stats.plan_compiles;
   st.last_bindings = std::move(bound);
-
-  st.stamp_epoch = db.stats_epoch();
-  st.stamp_options = session_->options_;
-  st.stamp_mods.clear();
-  for (const auto& [name, id] : st.bound_relations) {
-    (void)id;
-    Relation* rel = db.FindRelation(name);
-    st.stamp_mods.emplace_back(name, rel == nullptr ? 0 : rel->mod_count());
-  }
-
-  st.template_probes.clear();
-  std::vector<RangeExpr> param_ranges;
-  CollectParamRanges(st.template_query.selection, &param_ranges);
-  for (RangeExpr& range : param_ranges) {
-    RangeExpr probe = range.Clone();
-    PASCALR_RETURN_IF_ERROR(
-        BindFormulaParams(probe.restriction.get(), st.last_bindings));
-    st.template_probes.emplace_back(std::move(range), RangeIsEmpty(db, probe));
-  }
-  st.plan_probes.clear();
-  const std::vector<QuantifiedVar>& prefix = st.planned->plan.sf.prefix;
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    if (RangeHasParams(prefix[i].range)) {
-      st.plan_probes.emplace_back(i, RangeIsEmpty(db, prefix[i].range));
-    }
-  }
+  st.stamp = StampPlan(db, options, st.bound_relations);
 
   // Publish the fresh plan to the shared cache as an independent clone —
   // our own copy keeps being parameter-patched in place, the shared one
@@ -265,14 +169,7 @@ Status PreparedQuery::EnsurePlan(const ParamBindings& params,
     SharedPlanEntry entry;
     entry.planned =
         std::make_shared<const PlannedQuery>(ClonePlannedQuery(*st.planned));
-    entry.stats_epoch = st.stamp_epoch;
-    entry.rel_mods = st.stamp_mods;
-    entry.template_range_empty.reserve(st.template_probes.size());
-    for (const auto& [range, was_empty] : st.template_probes) {
-      (void)range;
-      entry.template_range_empty.push_back(was_empty);
-    }
-    entry.plan_probes = st.plan_probes;
+    entry.stamp = std::make_shared<const PlanStamp>(st.stamp);
     db.shared_plans().Insert(shared_key, std::move(entry));
   }
   return Status::OK();
@@ -411,8 +308,6 @@ void PreparedQuery::InvalidatePlan() {
   if (state_ == nullptr) return;
   state_->planned.reset();
   state_->last_bindings.clear();
-  state_->template_probes.clear();
-  state_->plan_probes.clear();
 }
 
 const Schema& PreparedQuery::output_schema() const {

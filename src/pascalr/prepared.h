@@ -16,16 +16,19 @@
 // the bound values and runs cost-based planning — parameterized
 // selectivity is estimated from the actual values, so OptLevel::kAuto can
 // pick a different strategy level for a selective vs. a non-selective
-// binding. The compiled plan is cached keyed on the catalog stats epoch,
-// the referenced relations' mod_counts, and the session's planner
-// options; while the key matches, further Executes only re-patch the
-// parameter slots in place — zero parse / normalize / plan-search work
-// (asserted by tests against base/counters.h). A mutation or ANALYZE
-// changes the key and the next Execute transparently replans. Safety
-// wrinkle: when a parameter appears inside an extended range, its
-// emptiness (which drives the planner's runtime-adaptation rules) is
-// re-probed per execution, and a flip forces a replan — a stale cache
-// never returns wrong tuples.
+// binding. The compiled plan is cached with its validity stamp (opt/
+// plan_stamp.h): the catalog stats epoch, the session's planner options,
+// and per referenced relation its id, mod_count and cardinality; the
+// plan itself records every emptiness verdict planning acted on (Lemma 1
+// folding, rule-2 extension abandonment). While nothing moved, further
+// Executes only re-patch the parameter slots in place — zero parse /
+// normalize / plan-search work (asserted by tests against
+// base/counters.h); new bindings re-probe the parameter-carrying
+// verdicts. A write to a referenced relation does not drop the plan: the
+// next Execute re-probes the verdicts under its snapshot and keeps the
+// plan (a *revalidation*) unless one flipped or a relation's cardinality
+// doubled or halved since plan time. ANALYZE, INDEX, an option change or a
+// flip replans transparently — a stale cache never returns wrong tuples.
 //
 // Results stream through a pull-based Cursor (exec/cursor.h); Execute is
 // simply OpenCursor + drain. A PreparedQuery must not outlive its Session
@@ -42,6 +45,7 @@
 #include "base/status.h"
 #include "exec/cursor.h"
 #include "opt/params.h"
+#include "opt/plan_stamp.h"
 #include "opt/planner.h"
 
 namespace pascalr {
@@ -54,6 +58,9 @@ struct PreparedStats {
   uint64_t plan_cache_hits = 0;  ///< executions that reused the cached plan
   uint64_t plan_compiles = 0;    ///< plan (re)builds, including the first
   uint64_t rebinds = 0;          ///< template rebinds (relation re-created)
+  /// Hits (counted in plan_cache_hits too) that crossed a write to a
+  /// referenced relation and kept the plan after re-probing its verdicts.
+  uint64_t revalidations = 0;
 };
 
 /// One Execute's materialised result (the cursor drained).
@@ -121,17 +128,8 @@ class PreparedQuery {
 
     // ---- plan cache (null until the first Execute) -------------------
     std::shared_ptr<PlannedQuery> planned;
-    uint64_t stamp_epoch = 0;  ///< Database::stats_epoch at plan time
-    std::vector<std::pair<std::string, uint64_t>> stamp_mods;
-    PlannerOptions stamp_options;
+    PlanStamp stamp;              ///< what `planned` was planned against
     ParamBindings last_bindings;  ///< values currently patched into the plan
-    /// Emptiness, at plan time, of every range whose restriction holds a
-    /// parameter: template-level user-written ranges (they may have been
-    /// folded out of the plan entirely — adaptation rule 1) and plan-
-    /// prefix ranges (strategy-3 extensions — rule 2). A flip under new
-    /// values invalidates the plan.
-    std::vector<std::pair<RangeExpr, bool>> template_probes;
-    std::vector<std::pair<size_t, bool>> plan_probes;
 
     PreparedStats stats;
 

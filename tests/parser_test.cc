@@ -221,6 +221,54 @@ TEST(ParserTest, RejectsEmptySubrange) {
   EXPECT_FALSE(parser.ParseScript().ok());
 }
 
+// 100k nested parentheses or stacked NOTs used to overflow the stack; past
+// Parser::kMaxFormulaDepth the parser now answers with a ParseError.
+std::string Nested(const std::string& open, const std::string& close,
+                   size_t depth) {
+  std::string wff;
+  for (size_t i = 0; i < depth; ++i) wff += open;
+  wff += "(e.enr = 1)";
+  for (size_t i = 0; i < depth; ++i) wff += close;
+  return "[<e.ename> OF EACH e IN employees: " + wff + "]";
+}
+
+TEST(ParserTest, DeepNestingIsAParseErrorNotACrash) {
+  const std::string inputs[] = {
+      Nested("(", ")", 100000),
+      Nested("NOT ", "", 100000),
+      Nested("SOME x IN employees ", "", 100000),
+  };
+  for (const std::string& src : inputs) {
+    Parser selection(src);
+    auto sel = selection.ParseSelectionOnly();
+    ASSERT_FALSE(sel.ok()) << src.substr(0, 60);
+    EXPECT_EQ(sel.status().code(), StatusCode::kParseError);
+    EXPECT_NE(sel.status().message().find("nested"), std::string::npos)
+        << sel.status().ToString();
+    // The statement path (shell input) goes through the same guard.
+    const std::string statement = "deep := " + src + ";";
+    Parser script(statement);
+    auto parsed = script.ParseScript();
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  }
+}
+
+TEST(ParserTest, NestingUpToTheLimitStillParses) {
+  // The innermost "(e.enr = 1)" takes two levels: its parenthesis and the
+  // atom.
+  const size_t depth = Parser::kMaxFormulaDepth - 2;
+  for (const std::string& src :
+       {Nested("(", ")", depth), Nested("NOT ", "", depth)}) {
+    Parser parser(src);
+    auto sel = parser.ParseSelectionOnly();
+    EXPECT_TRUE(sel.ok()) << sel.status().ToString();
+  }
+  const std::string too_deep = Nested("(", ")", Parser::kMaxFormulaDepth);
+  Parser over(too_deep);
+  EXPECT_FALSE(over.ParseSelectionOnly().ok());
+}
+
 TEST(ParserTest, PrintParseRoundTrip) {
   const char* sources[] = {
       "[<e.ename> OF EACH e IN employees: (e.estatus = professor)]",
