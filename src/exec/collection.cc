@@ -15,11 +15,13 @@ namespace {
 
 /// Applies one indirect-join emission for the element (ref, tuple) of the
 /// probe variable, feeding every matching pair to `sink`. Shared by the
-/// scan path (sink = structure Add) and the per-element lazy paths.
+/// scan path (sink = structure Add) and the per-element lazy paths. The
+/// sink is a template parameter and `=` probes read the index's ref list
+/// directly (FindEqual), so the hot probe builds no std::function.
+template <typename Sink>
 void ForEachIjPair(const IndirectJoinEmit& emit, const Ref& ref,
                    const Tuple& tuple, const CollectionResult& partial,
-                   ExecStats* stats,
-                   const std::function<void(RefRow)>& sink) {
+                   ExecStats* stats, Sink&& sink) {
   if (!EvalGates(emit.gates, tuple, stats)) return;
   // Mutual restriction (S2): every co-probe must find at least one match.
   for (const ProbeCheck& check : emit.corestrictions) {
@@ -33,12 +35,21 @@ void ForEachIjPair(const IndirectJoinEmit& emit, const Ref& ref,
   }
   if (stats != nullptr) ++stats->index_probes;
   const Value& x = tuple.at(static_cast<size_t>(emit.probe_component_pos));
-  partial.indexes[emit.index_id]->Probe(
-      MirrorOp(emit.op), x, [&](const Ref& build_ref) {
-        sink(emit.probe_column_first ? RefRow{ref, build_ref}
-                                     : RefRow{build_ref, ref});
-        return true;
-      });
+  const ComponentIndex& index = *partial.indexes[emit.index_id];
+  auto emit_pair = [&](const Ref& build_ref) {
+    sink(emit.probe_column_first ? RefRow{ref, build_ref}
+                                 : RefRow{build_ref, ref});
+  };
+  if (emit.op == CompareOp::kEq) {
+    if (const std::vector<Ref>* refs = index.FindEqual(x)) {
+      for (const Ref& build_ref : *refs) emit_pair(build_ref);
+    }
+    return;
+  }
+  index.Probe(MirrorOp(emit.op), x, [&](const Ref& build_ref) {
+    emit_pair(build_ref);
+    return true;
+  });
 }
 
 }  // namespace
@@ -174,14 +185,27 @@ Status CollectionBuilders::RunScanFiltered(size_t scan_index,
   // by the restriction check, so any pass over the relation collects it).
   // Claims roll back on failure — a partially collected range must not
   // pass for complete on a retried pass.
-  std::vector<bool> collect_range(scan.actions.size(), false);
+  //
+  // Per action, resolved once per pass rather than per element: the
+  // extended-range restriction to re-check (null for a plain range) and
+  // the range list being collected (null when already built). range_refs
+  // is a std::map, so the list pointers stay valid while the scan runs.
+  struct ActionState {
+    const Formula* restriction = nullptr;
+    std::vector<Ref>* range = nullptr;
+  };
+  std::vector<ActionState> states(scan.actions.size());
   std::vector<std::string> claimed;
   for (size_t a = 0; a < scan.actions.size(); ++a) {
-    collect_range[a] = range_built_.insert(scan.actions[a].var).second;
-    if (collect_range[a]) {
-      claimed.push_back(scan.actions[a].var);
-      // Touch the entry so an all-filtered range still exists in the map.
-      result_.range_refs[scan.actions[a].var];
+    const std::string& var = scan.actions[a].var;
+    const QuantifiedVar* qv = plan_.sf.FindVar(var);
+    if (qv != nullptr && qv->range.IsExtended()) {
+      states[a].restriction = qv->range.restriction.get();
+    }
+    if (range_built_.insert(var).second) {
+      claimed.push_back(var);
+      // Creating the entry also makes an all-filtered range exist.
+      states[a].range = &result_.range_refs[var];
     }
   }
   if (stats_ != nullptr) ++stats_->relations_read;
@@ -204,12 +228,12 @@ Status CollectionBuilders::RunScanFiltered(size_t scan_index,
     if (stats_ != nullptr) ++stats_->elements_scanned;
     for (size_t a = 0; a < scan.actions.size(); ++a) {
       const ScanAction& action = scan.actions[a];
-      const QuantifiedVar* qv = plan_.sf.FindVar(action.var);
-      if (qv != nullptr && qv->range.IsExtended() &&
-          !EvalRestriction(*qv->range.restriction, tuple, stats_)) {
+      const ActionState& state = states[a];
+      if (state.restriction != nullptr &&
+          !EvalRestriction(*state.restriction, tuple, stats_)) {
         continue;  // element outside the (extended) range of this var
       }
-      if (collect_range[a]) result_.range_refs[action.var].push_back(ref);
+      if (state.range != nullptr) state.range->push_back(ref);
 
       for (const SingleListEmit& emit : action.single_lists) {
         if (!want_structure(emit.structure_id)) continue;
@@ -519,10 +543,11 @@ Status CollectionBuilders::EvalElement(size_t structure_id, const Ref& ref,
       !EvalRestriction(*qv->range.restriction, *tuple, stats_)) {
     return Status::OK();
   }
-  auto append_unique = [out](RefRow row) {
-    if (std::find(out->begin(), out->end(), row) == out->end()) {
-      out->push_back(std::move(row));
-    }
+  // Rows arrive ascending when the index lists do (the ascending-add
+  // contract of index/index.h), so the duplicate check is O(1) per row.
+  bool ascending = out->empty();
+  auto append_unique = [&](RefRow row) {
+    AppendUnique(out, &ascending, std::move(row));
   };
   for (const Producer& p : producers) {
     switch (p.kind) {

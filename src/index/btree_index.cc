@@ -56,11 +56,9 @@ void BTreeIndex::Add(const Value& v, const Ref& ref) {
       leaf->entries.begin(), leaf->entries.end(), v,
       [](const LeafEntry& e, const Value& key) { return e.value < key; });
   if (it != leaf->entries.end() && it->value == v) {
-    if (std::find(it->refs.begin(), it->refs.end(), ref) != it->refs.end()) {
-      return;
-    }
-    if (it->refs.empty()) ++distinct_count_;  // resurrecting a tombstone
-    it->refs.push_back(ref);
+    const bool tombstone = it->refs.empty();
+    if (!AppendUnique(&it->refs, &it->ascending, ref)) return;
+    if (tombstone) ++distinct_count_;  // resurrected
     ++entry_count_;
     return;
   }
@@ -164,6 +162,19 @@ bool BTreeIndex::VisitRange(
     pos = 0;
   }
   return true;
+}
+
+const std::vector<Ref>* BTreeIndex::FindEqual(const Value& probe) const {
+  // An indexed value lives in the leaf FindLeaf routes it to (Add inserts
+  // there and splits keep the routing), so one leaf search decides.
+  const Node* leaf = FindLeaf(probe);
+  auto it = std::lower_bound(
+      leaf->entries.begin(), leaf->entries.end(), probe,
+      [](const LeafEntry& e, const Value& key) { return e.value < key; });
+  if (it == leaf->entries.end() || it->value != probe || it->refs.empty()) {
+    return nullptr;
+  }
+  return &it->refs;
 }
 
 void BTreeIndex::Probe(CompareOp op, const Value& probe,

@@ -33,6 +33,7 @@ class BTreeIndex : public ComponentIndex {
 
   void Probe(CompareOp op, const Value& probe,
              const std::function<bool(const Ref&)>& visit) const override;
+  const std::vector<Ref>* FindEqual(const Value& probe) const override;
 
   void ForEachEntry(const std::function<bool(const Value&, const Ref&)>& visit)
       const override;
@@ -61,7 +62,8 @@ class BTreeIndex : public ComponentIndex {
   struct Node;
   struct LeafEntry {
     Value value;
-    std::vector<Ref> refs;
+    std::vector<Ref> refs;  ///< insertion order; empty = tombstone
+    bool ascending = true;  ///< see AppendUnique
   };
 
   Node* FindLeaf(const Value& v) const;

@@ -23,6 +23,7 @@ class HashIndex : public ComponentIndex {
 
   void Probe(CompareOp op, const Value& probe,
              const std::function<bool(const Ref&)>& visit) const override;
+  const std::vector<Ref>* FindEqual(const Value& probe) const override;
 
   void ForEachEntry(const std::function<bool(const Value&, const Ref&)>& visit)
       const override;
@@ -33,8 +34,13 @@ class HashIndex : public ComponentIndex {
   size_t num_distinct_values() const { return map_.size(); }
 
  private:
+  struct RefList {
+    std::vector<Ref> refs;  ///< insertion order
+    bool ascending = true;  ///< see AppendUnique
+  };
+
   std::string name_ = "hash";
-  std::unordered_map<Value, std::vector<Ref>, ValueHash> map_;
+  std::unordered_map<Value, RefList, ValueHash> map_;
   size_t entry_count_ = 0;
 };
 

@@ -11,14 +11,6 @@ namespace pascalr {
 
 namespace {
 
-uint64_t HashKey(const RefRow& row, const std::vector<int>& positions) {
-  uint64_t h = 0x100001b3ULL;
-  for (int p : positions) {
-    h = HashCombine(h, row[static_cast<size_t>(p)].Hash());
-  }
-  return h;
-}
-
 bool KeyEquals(const RefRow& a, const std::vector<int>& pa, const RefRow& b,
                const std::vector<int>& pb) {
   for (size_t i = 0; i < pa.size(); ++i) {
@@ -31,7 +23,7 @@ bool KeyEquals(const RefRow& a, const std::vector<int>& pa, const RefRow& b,
 
 uint64_t HashKeyChunk(const Chunk& chunk, size_t row,
                       const std::vector<int>& positions) {
-  uint64_t h = 0x100001b3ULL;
+  uint64_t h = kJoinKeyHashSeed;
   for (int p : positions) {
     h = HashCombine(h, chunk.cols[static_cast<size_t>(p)][row].Hash());
   }
@@ -51,16 +43,6 @@ bool KeyEqualsChunk(const Chunk& chunk, size_t row,
 }
 
 }  // namespace
-
-JoinHashTable BuildJoinHashTable(const RefRelation& rel,
-                                 const std::vector<int>& key) {
-  JoinHashTable table;
-  table.map.reserve(rel.size());
-  for (size_t i = 0; i < rel.size(); ++i) {
-    table.map[HashKey(rel.row(i), key)].push_back(i);
-  }
-  return table;
-}
 
 Result<bool> RefIterator::NextBatch(Chunk* out) {
   // Row bridge: the adapter that keeps unvectorized operators inside
@@ -277,8 +259,7 @@ Result<bool> ProbeJoinIter::Next(RefRow* out) {
                 right_structure_,
                 left_row_[static_cast<size_t>(key_probe_pos_)]));
       } else if (!left_key_.empty()) {
-        auto it = shared_table_->map.find(HashKey(left_row_, left_key_));
-        matches_ = it == shared_table_->map.end() ? nullptr : &it->second;
+        chain_ = shared_table_->Find(JoinKeyHash(left_row_, left_key_));
       }
     }
     if (keyed_mode_) {
@@ -305,8 +286,8 @@ Result<bool> ProbeJoinIter::Next(RefRow* out) {
       continue;
     }
     // Keyed probe: walk the hash chain, verifying against collisions.
-    while (matches_ != nullptr && match_pos_ < matches_->size()) {
-      const RefRow& candidate = right_->row((*matches_)[match_pos_++]);
+    while (match_pos_ < chain_.size) {
+      const RefRow& candidate = right_->row(chain_.rows[match_pos_++]);
       if (!KeyEquals(left_row_, left_key_, candidate, right_key_)) continue;
       if (semi_) have_left_ = false;  // first match wins; next left row
       return Emit(candidate, out);
@@ -365,9 +346,8 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
       have_left_ = true;
       match_pos_ = 0;
       if (!left_key_.empty()) {
-        auto it = shared_table_->map.find(
+        chain_ = shared_table_->Find(
             HashKeyChunk(left_chunk_, left_pos_, left_key_));
-        matches_ = it == shared_table_->map.end() ? nullptr : &it->second;
       }
     }
     const size_t l = left_pos_;
@@ -383,9 +363,8 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
       }
     } else {
       bool emitted_semi = false;
-      while (matches_ != nullptr && match_pos_ < matches_->size() &&
-             !out->full()) {
-        const RefRow& candidate = right_->row((*matches_)[match_pos_++]);
+      while (match_pos_ < chain_.size && !out->full()) {
+        const RefRow& candidate = right_->row(chain_.rows[match_pos_++]);
         if (!KeyEqualsChunk(left_chunk_, l, left_key_, candidate,
                             right_key_)) {
           continue;
@@ -396,8 +375,7 @@ Result<bool> ProbeJoinIter::NextBatch(Chunk* out) {
           break;  // first match wins; next left row
         }
       }
-      if (!emitted_semi && matches_ != nullptr &&
-          match_pos_ < matches_->size()) {
+      if (!emitted_semi && match_pos_ < chain_.size) {
         continue;  // out full mid-chain, left row stays pending
       }
     }

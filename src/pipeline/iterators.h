@@ -66,7 +66,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
@@ -74,6 +73,7 @@
 #include "exec/plan.h"
 #include "exec/stats.h"
 #include "pipeline/chunk.h"
+#include "refstruct/ops.h"
 #include "refstruct/ref_relation.h"
 
 namespace pascalr {
@@ -156,24 +156,12 @@ class BaseScanIter : public RefIterator {
   size_t pending_pos_ = 0;
 };
 
-/// Join-key hash index over a structure: key hash -> row indices. Built
-/// once and shared read-only across the parallel drain's worker chains
-/// (each worker would otherwise rebuild an identical table per morsel).
-struct JoinHashTable {
-  std::unordered_map<uint64_t, std::vector<size_t>> map;
-};
-
-/// Builds the join-key index over `rel` exactly as ProbeJoinIter's
-/// first-Next build would — row indices appended in scan order, so a
-/// shared table produces match chains in the identical order. The
-/// parallel drain prebuilds these on the consumer thread.
-JoinHashTable BuildJoinHashTable(const RefRelation& rel,
-                                 const std::vector<int>& key);
-
-/// Streaming join. Probes an index (join-key -> row indices) over the
-/// right side, built lazily at the first Next. With an empty key the join
-/// degenerates to the nested-loop Cartesian step. Output layout: left
-/// columns, then the right side's extra columns (none under semi).
+/// Streaming join. Probes a JoinHashTable (join-key hash -> chain of row
+/// indices, refstruct/ops.h) over the right side, built lazily at the
+/// first Next unless the parallel drain handed in a prebuilt one. With an
+/// empty key the join degenerates to the nested-loop Cartesian step.
+/// Output layout: left columns, then the right side's extra columns (none
+/// under semi).
 class ProbeJoinIter : public RefIterator {
  public:
   /// Right side is an existing structure: the index stores row indices
@@ -238,7 +226,7 @@ class ProbeJoinIter : public RefIterator {
   const JoinHashTable* shared_table_ = nullptr;  ///< prebuilt (parallel)
   RefRow left_row_;
   bool have_left_ = false;
-  const std::vector<size_t>* matches_ = nullptr;  ///< keyed probe chain
+  JoinHashTable::Chain chain_;  ///< keyed probe: right rows of the key hash
   const std::vector<RefRow>* keyed_rows_ = nullptr;  ///< keyed-partial rows
   size_t match_pos_ = 0;  ///< position in chain (keyed) or right rows (cross)
   Chunk left_chunk_;      ///< batched path: current left batch

@@ -1,19 +1,11 @@
 #include "refstruct/ops.h"
 
-#include <unordered_map>
-
 #include "base/logging.h"
 #include "base/str_util.h"
 
 namespace pascalr {
 
 namespace {
-
-uint64_t HashKey(const RefRow& row, const std::vector<int>& positions) {
-  uint64_t h = 0x100001b3ULL;
-  for (int p : positions) h = HashCombine(h, row[static_cast<size_t>(p)].Hash());
-  return h;
-}
 
 bool KeyEquals(const RefRow& a, const std::vector<int>& pa, const RefRow& b,
                const std::vector<int>& pb) {
@@ -26,6 +18,33 @@ bool KeyEquals(const RefRow& a, const std::vector<int>& pa, const RefRow& b,
 }
 
 }  // namespace
+
+JoinHashTable BuildJoinHashTable(const RefRelation& rel,
+                                 const std::vector<int>& key) {
+  JoinHashTable table;
+  // Pass 1 numbers the distinct key hashes and sizes their groups; pass 2
+  // lays each group's rows out contiguously, in row order.
+  std::vector<uint32_t> group_of(rel.size());
+  std::vector<uint32_t> count;
+  for (size_t i = 0; i < rel.size(); ++i) {
+    const auto [g, inserted] = table.groups.FindOrInsert(
+        JoinKeyHash(rel.row(i), key), [](uint32_t) { return true; });
+    if (inserted) count.push_back(0);
+    ++count[g];
+    group_of[i] = g;
+  }
+  table.group_begin.resize(count.size() + 1);
+  table.group_begin[0] = 0;
+  for (size_t g = 0; g < count.size(); ++g) {
+    table.group_begin[g + 1] = table.group_begin[g] + count[g];
+    count[g] = table.group_begin[g];  // now the group's fill cursor
+  }
+  table.rows.resize(rel.size());
+  for (size_t i = 0; i < rel.size(); ++i) {
+    table.rows[count[group_of[i]]++] = static_cast<uint32_t>(i);
+  }
+  return table;
+}
 
 RefRelation NaturalJoin(const RefRelation& a, const RefRelation& b,
                         ExecStats* stats) {
@@ -54,16 +73,12 @@ RefRelation NaturalJoin(const RefRelation& a, const RefRelation& b,
   const std::vector<int>& build_key = build_a ? a_shared : b_shared;
   const std::vector<int>& probe_key = build_a ? b_shared : a_shared;
 
-  std::unordered_map<uint64_t, std::vector<size_t>> table;
-  for (size_t i = 0; i < build.size(); ++i) {
-    table[HashKey(build.row(i), build_key)].push_back(i);
-  }
+  const JoinHashTable table = BuildJoinHashTable(build, build_key);
   for (size_t j = 0; j < probe.size(); ++j) {
     const RefRow& pr = probe.row(j);
-    auto it = table.find(HashKey(pr, probe_key));
-    if (it == table.end()) continue;
-    for (size_t i : it->second) {
-      const RefRow& br = build.row(i);
+    const JoinHashTable::Chain chain = table.Find(JoinKeyHash(pr, probe_key));
+    for (size_t c = 0; c < chain.size; ++c) {
+      const RefRow& br = build.row(chain.rows[c]);
       if (!KeyEquals(br, build_key, pr, probe_key)) continue;
       const RefRow& a_row = build_a ? br : pr;
       const RefRow& b_row = build_a ? pr : br;

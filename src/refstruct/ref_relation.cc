@@ -20,16 +20,13 @@ uint64_t RefRelation::HashRow(const RefRow& row) {
 
 bool RefRelation::Add(RefRow row) {
   PASCALR_DCHECK(row.size() == columns_.size());
-  uint64_t h = HashRow(row);
-  auto it = index_.find(h);
-  if (it != index_.end()) {
-    for (size_t idx : it->second) {
-      if (rows_[idx] == row) return false;
-    }
-  }
-  index_[h].push_back(rows_.size());
-  rows_.push_back(std::move(row));
-  return true;
+  const bool inserted =
+      index_
+          .FindOrInsert(HashRow(row),
+                        [&](uint32_t pos) { return rows_[pos] == row; })
+          .second;
+  if (inserted) rows_.push_back(std::move(row));
+  return inserted;
 }
 
 bool RefRelation::Contains(const RefRow& row) const {
@@ -37,17 +34,13 @@ bool RefRelation::Contains(const RefRow& row) const {
 }
 
 bool RefRelation::ContainsPrehashed(uint64_t hash, const RefRow& row) const {
-  auto it = index_.find(hash);
-  if (it == index_.end()) return false;
-  for (size_t idx : it->second) {
-    if (rows_[idx] == row) return true;
-  }
-  return false;
+  return index_.Find(hash, [&](uint32_t pos) { return rows_[pos] == row; }) !=
+         FlatHashTable::kNone;
 }
 
 void RefRelation::Clear() {
   rows_.clear();
-  index_.clear();
+  index_.Clear();
 }
 
 std::string RefRelation::DebugString(size_t max_rows) const {

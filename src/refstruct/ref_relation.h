@@ -5,16 +5,19 @@
 //   SINGLE LIST    = RefRelation with one column   (monadic join term)
 //   INDIRECT JOIN  = RefRelation with two columns  (dyadic join term)
 //
-// RefRelations have set semantics: duplicate rows collapse.
+// RefRelations have set semantics: duplicate rows collapse. Rows keep
+// their insertion order; the dedup index is a FlatHashTable over row
+// positions (cached row hash + open-addressing directory), so Add and
+// Contains allocate nothing beyond the stored row itself.
 
 #ifndef PASCALR_REFSTRUCT_REF_RELATION_H_
 #define PASCALR_REFSTRUCT_REF_RELATION_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/status.h"
+#include "refstruct/flat_hash.h"
 #include "storage/ref.h"
 
 namespace pascalr {
@@ -73,8 +76,7 @@ class RefRelation {
 
   std::vector<std::string> columns_;
   std::vector<RefRow> rows_;
-  // Row hash -> indices of rows with that hash (collision chain).
-  std::unordered_map<uint64_t, std::vector<size_t>> index_;
+  FlatHashTable index_;  ///< entry i is rows_[i]
 };
 
 }  // namespace pascalr
