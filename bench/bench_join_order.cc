@@ -12,8 +12,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "calculus/printer.h"
+#include "joinorder/dp.h"
 #include "tests/query_gen.h"
 
 namespace pascalr {
@@ -111,6 +117,39 @@ void BM_JoinOrder_PlanOnly(benchmark::State& state) {
 BENCHMARK(BM_JoinOrder_PlanOnly)
     ->Arg(0)
     ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// The DP kernel alone (ChooseJoinOrder), left-deep, over n summaries shaped
+// like plan structures: each binds one or two variables, chained into a
+// path with a few extra edges (stars and cycles). A kernel trajectory, not
+// gated: the table is 2^n, so n = 12 is the planner's budget.
+void BM_ChooseJoinOrder(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::mt19937_64 rng(n);
+  std::vector<EstRel> inputs(n);
+  for (size_t i = 0; i < n; ++i) {
+    EstRel& in = inputs[i];
+    in.rows = static_cast<double>(1 + rng() % 5000);
+    const std::string var = "v" + std::to_string(i);
+    const std::string partner =
+        "v" + std::to_string(i == 0 || rng() % 4 == 0 ? rng() % n : i - 1);
+    in.distinct[var] = std::max(1.0, in.rows / (1 + rng() % 8));
+    in.distinct[partner] = std::max(1.0, in.rows / (1 + rng() % 8));
+  }
+  JoinOrderOptions options;
+  size_t explored = 0;
+  for (auto _ : state) {
+    JoinOrderDecision decision = ChooseJoinOrder(inputs, options);
+    explored = decision.subsets_explored;
+    benchmark::DoNotOptimize(decision.dp_cost);
+  }
+  state.counters["subsets_explored"] = static_cast<double>(explored);
+}
+
+BENCHMARK(BM_ChooseJoinOrder)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(12)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -25,7 +25,12 @@ struct CompileCounters {
   uint64_t parses = 0;           ///< Parser tokenize+parse passes
   uint64_t binds = 0;            ///< Binder::Bind resolutions
   uint64_t standard_forms = 0;   ///< standard-form (re)normalisations
-  uint64_t plans = 0;            ///< PlanQuery compilations (concrete level)
+  /// Concrete-level plans: one per fixed-level PlanQuery, and one per
+  /// kAuto candidate that is not pruned (failed ones included), as if
+  /// each were planned standalone. The search shares compile work between
+  /// candidates; that sharing shows in standard_forms and
+  /// collection_walks instead.
+  uint64_t plans = 0;
   uint64_t plan_searches = 0;    ///< kAuto plan-search invocations
   uint64_t collection_walks = 0; ///< cost-model collection-phase walks
 };

@@ -74,12 +74,13 @@ struct CostEstimate {
 /// The saved output of one collection-phase cost walk over a plan: the
 /// per-structure estimates the join-order optimizer plans over plus the
 /// accumulator state the combination walk resumes from. Computed by
-/// EstimateStructureSizes (via AttachJoinOrders) and replayed by
-/// EstimatePlanCost, so each kAuto candidate walks its collection phase
-/// once instead of twice. Valid only for the exact (plan, db) pair it was
-/// computed from — join trees attached *after* the walk are fine (they
-/// only change the combination phase), any other plan or catalog change
-/// is not.
+/// EstimateStructureSizes (also via AttachJoinOrders) and replayed by
+/// EstimatePlanCost, so the kAuto search walks the collection phase once
+/// per (level, permanent-index, ordered-index) group instead of once or
+/// twice per candidate. Valid only for the exact (plan, db) pair it was
+/// computed from — join trees attached and a division algorithm chosen
+/// *after* the walk are fine (they only change the combination phase),
+/// any other plan or catalog change is not.
 struct CollectionCost {
   bool valid = false;
   std::vector<EstRel> structures;  ///< index [i] matches plan.structures[i]

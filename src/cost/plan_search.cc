@@ -7,7 +7,6 @@
 #include "base/counters.h"
 #include "base/str_util.h"
 #include "cost/cost_model.h"
-#include "normalize/standard_form.h"
 #include "obs/span_names.h"
 #include "obs/trace.h"
 
@@ -57,22 +56,21 @@ double CardinalityFor(const Database& db, const std::string& relation) {
 /// summing those cardinalities never exceeds the cost model's
 /// elements_scanned for the compiled plan — and elements_scanned is one
 /// addend of the weighted cost. Returns 0 (no pruning) whenever the bound
-/// cannot be guaranteed: extended ranges (restricted post-scan passes),
-/// empty or missing relations (runtime adaptation refolds the formula),
-/// or a standard form that fails to build.
-double NaiveScanLowerBound(const Database& db, const BoundQuery& query) {
-  for (const auto& [var, binding] : query.vars) {
+/// cannot be guaranteed: extended ranges (restricted post-scan passes) or
+/// empty or missing relations (runtime adaptation refolds the formula).
+/// `sf` is the search's normalized standard form; with no range empty and
+/// none extended, no folding fired and it is the plain standard form.
+double NaiveScanLowerBound(const Database& db, const StandardForm& sf) {
+  for (const auto& [var, binding] : sf.vars) {
     const Relation* rel = db.FindRelation(binding.relation_name);
     if (rel == nullptr || rel->empty()) return 0.0;
   }
-  Result<StandardForm> sf = BuildStandardForm(CloneBoundQuery(query));
-  if (!sf.ok()) return 0.0;
-  for (const QuantifiedVar& qv : sf->prefix) {
+  for (const QuantifiedVar& qv : sf.prefix) {
     if (qv.range.IsExtended()) return 0.0;
   }
   double bound = 0.0;
   std::set<std::string> seen;  // the keys AssembleNaive interns by
-  for (const Conjunction& conj : sf->matrix.disjuncts) {
+  for (const Conjunction& conj : sf.matrix.disjuncts) {
     for (const JoinTerm& t : conj.terms) {
       std::vector<std::string> vars = t.Variables();
       if (vars.empty()) continue;
@@ -80,12 +78,12 @@ double NaiveScanLowerBound(const Database& db, const BoundQuery& query) {
         if (!seen.insert("sl#" + vars[0] + "#" + t.ToString()).second) {
           continue;
         }
-        bound += CardinalityFor(db, sf->vars.at(vars[0]).relation_name);
+        bound += CardinalityFor(db, sf.vars.at(vars[0]).relation_name);
         continue;
       }
       if (!seen.insert("ij#" + t.ToString()).second) continue;
-      bound += CardinalityFor(db, sf->vars.at(t.lhs.var).relation_name);
-      bound += CardinalityFor(db, sf->vars.at(t.rhs.var).relation_name);
+      bound += CardinalityFor(db, sf.vars.at(t.lhs.var).relation_name);
+      bound += CardinalityFor(db, sf.vars.at(t.rhs.var).relation_name);
     }
   }
   return bound;
@@ -110,9 +108,9 @@ bool HasQuantifier(const Formula& f) {
 
 }  // namespace
 
-Result<PlannedQuery> SearchBestPlan(const Database& db,
-                                    const BoundQuery& query,
-                                    const PlannerOptions& base) {
+Result<PlannedQuery> SearchBestPlan(const Database& db, BoundQuery query,
+                                    const PlannerOptions& base,
+                                    std::vector<SearchCandidate>* costed) {
   ++GlobalCompileCounters().plan_searches;
   TraceSpanGuard trace_span(spans::kPlanSearch);
   // The physical knobs that can matter for this query and catalog:
@@ -124,6 +122,10 @@ Result<PlannedQuery> SearchBestPlan(const Database& db,
   }
   std::vector<bool> perm_choices = {false};
   if (AnyFreshPermanentIndex(db, query)) perm_choices.push_back(true);
+
+  // Normalize once for every candidate: the standard form, rule-1 folding
+  // and its verdicts do not depend on the level or the knobs.
+  Result<NormalizedQuery> normalized = NormalizeQuery(db, std::move(query));
 
   std::optional<PlannedQuery> best;
   PlannerOptions best_options;
@@ -152,26 +154,39 @@ Result<PlannedQuery> SearchBestPlan(const Database& db,
   // lower bound already exceeds it cannot win, so its compilation is
   // skipped. Only the naive level has a per-candidate bound worth having
   // (its per-term scans dwarf everything once a grouped plan is costed).
-  const double naive_bound = NaiveScanLowerBound(db, query);
+  const double naive_bound =
+      normalized.ok() ? NaiveScanLowerBound(db, normalized->sf) : 0.0;
   size_t pruned = 0;
 
   for (int level = 4; level >= 0; --level) {
+    // CompileLevel once per level, on the first candidate that is not
+    // pruned, and ApplyPhysicalKnobs once per permanent-index choice; the
+    // other candidates patch the knobs that do not change the scans,
+    // structures or join trees (division, ordered indexes) onto this one
+    // plan and re-cost it.
+    std::optional<Result<PlannedQuery>> compiled;
+    std::vector<bool> compiled_ordered;  // the compiler's own index choice
     for (bool perm : perm_choices) {
-      // Set by the ordered=false pass; with no transient index builds the
-      // btree variant would be an exact duplicate, so it is skipped. Note
-      // the btree dimension is currently dominated: the compiler already
-      // picks ordered indexes wherever a range probe needs one, so
-      // forcing the rest ordered only adds log factors — the knob stays
-      // in the search space for when the cost model learns a case where
-      // ordered transient indexes win (e.g. sharing one index across
-      // eq and range probes).
+      // The pair's knobs are applied on its first costed candidate. With
+      // no transient index builds the btree variant would be an exact
+      // duplicate, so it is skipped. Note the btree dimension is
+      // currently dominated: the compiler already picks ordered indexes
+      // wherever a range probe needs one, so forcing the rest ordered
+      // only adds log factors — the knob stays in the search space for
+      // when the cost model learns a case where ordered transient indexes
+      // win (e.g. sharing one index across eq and range probes).
+      bool knobs_applied = false;
       bool any_transient_indexes = false;
       for (bool ordered : {false, true}) {
         if (ordered && !any_transient_indexes) continue;
+        // One collection-phase walk per (level, perm, ordered) group,
+        // shared by its division variants: the walk reads the index
+        // flags, never the division algorithm. The unordered group reuses
+        // the join-order DP's walk when the DP needed one.
+        CollectionCost walk;
         for (DivisionAlgorithm division : divisions) {
           PlannerOptions options = base;
           options.level = static_cast<OptLevel>(level);
-          options.cost_based = false;
           options.division = division;
           options.use_permanent_indexes = perm;
           options.prefer_ordered_indexes = ordered;
@@ -185,39 +200,65 @@ Result<PlannedQuery> SearchBestPlan(const Database& db,
             continue;
           }
 
-          Result<PlannedQuery> planned =
-              PlanQuery(db, CloneBoundQuery(query), options);
-          if (!planned.ok()) {
-            last_error = planned.status();
+          // One per costed candidate, as if each were a standalone plan.
+          ++GlobalCompileCounters().plans;
+          if (!compiled.has_value()) {
+            TraceSpanGuard plan_span(spans::kPlan, nullptr,
+                                     std::string(OptLevelToString(
+                                         options.level)));
+            compiled = normalized.ok()
+                           ? CompileLevel(db, normalized->sf.Clone(),
+                                          &*normalized, options)
+                           : Result<PlannedQuery>(normalized.status());
+            if (compiled->ok()) {
+              for (const IndexBuildSpec& spec : (*compiled)->plan.indexes) {
+                compiled_ordered.push_back(spec.ordered);
+              }
+            }
+          }
+          if (!compiled->ok()) {
+            last_error = compiled->status();
             table += "  " + LabelFor(options) +
-                     ": failed: " + planned.status().ToString() + "\n";
+                     ": failed: " + compiled->status().ToString() + "\n";
             continue;
           }
-          if (!ordered) {
-            for (const IndexBuildSpec& spec : planned->plan.indexes) {
-              if (!IndexBorrowsPermanent(planned->plan, db, spec)) {
+          PlannedQuery& planned = compiled->value();
+          QueryPlan& plan = planned.plan;
+          if (!knobs_applied) {
+            // Undo the previous pair's btree patch: the unordered variant,
+            // which always comes first in a pair, keeps the compiler's
+            // own index kinds.
+            for (size_t i = 0; i < plan.indexes.size(); ++i) {
+              plan.indexes[i].ordered = compiled_ordered[i];
+            }
+            ApplyPhysicalKnobs(db, options, &planned, &walk);
+            knobs_applied = true;
+            for (const IndexBuildSpec& spec : plan.indexes) {
+              if (!IndexBorrowsPermanent(plan, db, spec)) {
                 any_transient_indexes = true;
               }
             }
           }
-          // Reuse the collection-phase walk the join-order optimizer
-          // already did for this candidate (one walk per candidate, not
-          // two — see CollectionCost).
-          planned->estimate = EstimatePlanCost(
-              planned->plan, db,
-              planned->collection_cost.valid ? &planned->collection_cost
-                                             : nullptr);
+          if (!walk.valid) {
+            // The group's first costed candidate: patch it and walk it.
+            if (ordered) {
+              for (IndexBuildSpec& spec : plan.indexes) spec.ordered = true;
+            }
+            EstimateStructureSizes(plan, db, &walk);
+          }
+          plan.division = division;
+          const CostEstimate estimate = EstimatePlanCost(plan, db, &walk);
           // Levels run 4 -> 0 but exact ties still choose the lowest
           // level, as the ascending enumeration used to.
           bool better = !best.has_value() ||
-                        rank(planned->estimate) < rank(best->estimate) ||
-                        (rank(planned->estimate) == rank(best->estimate) &&
+                        rank(estimate) < rank(best->estimate) ||
+                        (rank(estimate) == rank(best->estimate) &&
                          options.level < best_options.level);
-          if (!have_mat || planned->estimate.weighted_cost < best_mat_cost ||
-              (planned->estimate.weighted_cost == best_mat_cost &&
+          if (!have_mat || estimate.weighted_cost < best_mat_cost ||
+              (estimate.weighted_cost == best_mat_cost &&
                options.level < best_mat_level)) {
             have_mat = true;
-            best_mat_cost = planned->estimate.weighted_cost;
+            best_mat_cost = estimate.weighted_cost;
             best_mat_level = options.level;
             best_mat_label = LabelFor(options);
           }
@@ -226,11 +267,16 @@ Result<PlannedQuery> SearchBestPlan(const Database& db,
               "%.0f)\n",
               LabelFor(options).c_str(),
               static_cast<unsigned long long>(
-                  planned->estimate.predicted.TotalWork()),
-              planned->estimate.weighted_cost,
-              planned->estimate.pipelined_weighted_cost);
+                  estimate.predicted.TotalWork()),
+              estimate.weighted_cost, estimate.pipelined_weighted_cost);
+          auto snapshot = [&] {
+            PlannedQuery copy = ClonePlannedQuery(planned);
+            copy.estimate = estimate;
+            return copy;
+          };
+          if (costed != nullptr) costed->push_back({options, snapshot()});
           if (better) {
-            best = std::move(planned).value();
+            best = snapshot();
             best_options = options;
           }
         }

@@ -11,6 +11,23 @@
 // candidates whose scan lower bound already exceeds it are pruned before
 // compilation (the pruned count is logged in the EXPLAIN candidate table).
 //
+// Compile work is shared, never repeated (the planner's stages, see
+// opt/planner.h):
+//  - NormalizeQuery runs once per search; emptiness probes are memoized
+//    for the whole search.
+//  - CompileLevel runs once per level, and ApplyPhysicalKnobs once per
+//    (level, permanent-index) pair, re-knobbing the level's one plan in
+//    place.
+//  - The division algorithm and prefer_ordered_indexes change neither
+//    the standard form, the scans, the structures nor the join trees, so
+//    those variants patch the pair's plan in place and re-cost it. Each
+//    (level, perm, ordered) group walks the collection phase once and
+//    shares the walk between its division variants.
+//  - A plan is cloned only when its candidate becomes the best so far.
+// Every candidate's estimate, candidate-table line, verdicts and (when
+// chosen) plan are exactly what a standalone PlanQuery with its concrete
+// options produces (tests/plan_search_equivalence_test.cc).
+//
 // The ranking is mode-aware: sessions that execute the streamed
 // combination (PlannerOptions::pipeline) rank candidates by
 // CostEstimate::pipelined_weighted_cost — the price of what the cursor
@@ -22,6 +39,8 @@
 #ifndef PASCALR_COST_PLAN_SEARCH_H_
 #define PASCALR_COST_PLAN_SEARCH_H_
 
+#include <vector>
+
 #include "base/status.h"
 #include "catalog/database.h"
 #include "opt/planner.h"
@@ -31,11 +50,19 @@ namespace pascalr {
 /// Plans `query` under every candidate configuration derived from `base`
 /// (level and knobs overridden; use_cnf_extensions is inherited), costs
 /// each candidate, and returns the cheapest with its estimate and the
-/// candidate table filled in. `base.level`/`base.cost_based` are ignored —
-/// the caller (PlanQuery) has already decided to search.
-Result<PlannedQuery> SearchBestPlan(const Database& db,
-                                    const BoundQuery& query,
-                                    const PlannerOptions& base);
+/// candidate table filled in. `base.level` is ignored — the caller
+/// (PlanQuery) has already decided to search.
+///
+/// When `costed` is non-null it receives a copy of every costed candidate
+/// with its concrete options and estimate, in candidate-table order — an
+/// audit hook: each must equal a standalone PlanQuery with those options.
+struct SearchCandidate {
+  PlannerOptions options;
+  PlannedQuery planned;
+};
+Result<PlannedQuery> SearchBestPlan(
+    const Database& db, BoundQuery query, const PlannerOptions& base,
+    std::vector<SearchCandidate>* costed = nullptr);
 
 }  // namespace pascalr
 

@@ -1,10 +1,17 @@
 // Selinger-style join-order enumeration over one conjunction's
 // combination inputs: a dynamic program over bitset-indexed subsets of
-// the inputs, costing each candidate join with the shared JoinEstimate
-// and keeping the cheapest tree per subset. Left-deep by default (the
+// the inputs, costing each candidate join with the JoinEstimate rule and
+// keeping the cheapest tree per subset. Left-deep by default (the
 // classical System R space); bushy trees behind a flag. Cartesian steps
 // are admitted — disconnected conjunctions need them — but penalized so
 // the DP defers them exactly like the executor's greedy heuristic does.
+//
+// The table is flat: the conjunction's columns are interned in name
+// order, and each subset holds its cost, row count, a column bitmask and
+// one distinct count per column in plain arrays — no per-entry map. The
+// estimate arithmetic runs in the same order JoinEstimate's std::map walk
+// does, so costs, trees and est_rows are bit-identical to joining EstRel
+// summaries (which the greedy heuristic and the cost model still do).
 
 #ifndef PASCALR_JOINORDER_DP_H_
 #define PASCALR_JOINORDER_DP_H_

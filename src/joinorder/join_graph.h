@@ -37,9 +37,8 @@ EstRel JoinEstimate(const EstRel& a, const EstRel& b);
 std::vector<std::string> SharedColumns(const EstRel& a, const EstRel& b);
 
 /// Connectivity over a conjunction's inputs: node i is input i, and an
-/// edge links two inputs that share a column (a variable). The DP builds
-/// it once and classifies every candidate split as a join or a Cartesian
-/// step with one mask intersection instead of a column-set comparison.
+/// edge links two inputs that share a column (a variable). Joining two
+/// disjoint input sets is a Cartesian step iff no edge crosses them.
 class JoinGraph {
  public:
   /// At most 64 inputs (bitset-indexed); callers budget far below that.

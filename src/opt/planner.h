@@ -3,6 +3,18 @@
 // adaptation* for empty ranges (Lemma 1 / Example 2.2), compiles a
 // QueryPlan and runs it.
 //
+// Planning runs in two stages, so the kAuto plan search
+// (src/cost/plan_search.h) can do the level-independent work once for
+// all its candidates:
+//  - NormalizeQuery: the standard form, adaptation rule 1 (folding),
+//    its emptiness verdicts and adaptation notes — independent of the
+//    strategy level and every physical knob;
+//  - per level, CompileLevel (range extension with rule 2, quantifier
+//    push-down, BuildScanPlan, the session's execution knobs) and then
+//    ApplyPhysicalKnobs (ordered transient indexes, permanent-index use,
+//    the join-order DP).
+// PlanQuery at a concrete level is exactly the three calls in sequence.
+//
 // Adaptation rules (the compile-time standard form assumes non-empty
 // ranges):
 //  1. if the base relation of any quantified range — or a user-written
@@ -30,6 +42,11 @@
 namespace pascalr {
 
 struct PlannerOptions {
+  /// The strategy level. OptLevel::kAuto selects cost-based planning:
+  /// the plan-search driver enumerates strategy levels 0-4, hash-vs-btree
+  /// index choices, permanent-index use, and the division algorithm,
+  /// costs each candidate against catalog statistics, and plans the
+  /// cheapest. Run ANALYZE (Database::Analyze) for accurate estimates.
   OptLevel level = OptLevel::kQuantPush;
   DivisionAlgorithm division = DivisionAlgorithm::kHash;
   /// Consult the catalog for fresh permanent indexes before building
@@ -38,12 +55,6 @@ struct PlannerOptions {
   /// Enable the paper's §4.3 closing suggestion: conjunctive-normal-form
   /// range extensions (disjunctive restrictions). Applies at level >= 3.
   bool use_cnf_extensions = true;
-  /// Cost-based plan selection (same as level = OptLevel::kAuto): the
-  /// plan-search driver enumerates strategy levels 0-4, hash-vs-btree
-  /// index choices, permanent-index use, and the division algorithm,
-  /// costs each candidate against catalog statistics, and plans the
-  /// cheapest. Run ANALYZE (Database::Analyze) for accurate estimates.
-  bool cost_based = false;
   /// Build every transient index as a B+tree even where a hash index
   /// suffices — a physical knob the plan-search driver enumerates.
   bool prefer_ordered_indexes = false;
@@ -89,7 +100,6 @@ inline bool operator==(const PlannerOptions& a, const PlannerOptions& b) {
   return a.level == b.level && a.division == b.division &&
          a.use_permanent_indexes == b.use_permanent_indexes &&
          a.use_cnf_extensions == b.use_cnf_extensions &&
-         a.cost_based == b.cost_based &&
          a.prefer_ordered_indexes == b.prefer_ordered_indexes &&
          a.join_order_dp == b.join_order_dp &&
          a.join_dp_max_inputs == b.join_dp_max_inputs &&
@@ -125,16 +135,11 @@ struct PlannedQuery {
   /// in probe order — what opt/plan_stamp.h re-checks after a write.
   std::vector<EmptinessVerdict> verdicts;
 
-  /// Cost-based selection trail (OptLevel::kAuto / cost_based): the
-  /// chosen plan's estimate and one line per candidate considered.
+  /// Cost-based selection trail (OptLevel::kAuto): the chosen plan's
+  /// estimate and one line per candidate considered.
   bool cost_based = false;
   CostEstimate estimate;
   std::string cost_candidates;
-
-  /// Saved collection-phase cost walk (filled when the join-order
-  /// optimizer needed structure estimates), so the plan-search driver can
-  /// cost this candidate without a second collection walk.
-  CollectionCost collection_cost;
 };
 
 /// The result of running a query end to end.
@@ -158,6 +163,51 @@ PlannedQuery ClonePlannedQuery(const PlannedQuery& planned);
 /// Normalise + optimise + compile. Performs adaptation rules 1 and 2.
 Result<PlannedQuery> PlanQuery(const Database& db, BoundQuery query,
                                const PlannerOptions& options);
+
+/// The level-independent first planning stage: the standard form after
+/// adaptation rule 1, with the verdicts and notes that rule recorded.
+struct NormalizedQuery {
+  StandardForm sf;
+  std::vector<EmptinessVerdict> verdicts;  ///< rule-1 verdicts, probe order
+  std::string adaptation_notes;
+  uint64_t replans = 0;
+  /// Every emptiness probe made while planning from this normalization,
+  /// rules 1 and 2 alike: a range is scanned at most once per
+  /// standalone plan or kAuto search (the database does not change
+  /// under one planning pass).
+  std::vector<EmptinessVerdict> probes;
+};
+
+/// The level-independent stage: builds the standard form and applies
+/// adaptation rule 1.
+Result<NormalizedQuery> NormalizeQuery(const Database& db, BoundQuery query);
+
+/// The per-level stage, first half: compiles `sf` at the concrete
+/// `options.level` — strategy-3 range extension with adaptation rule 2,
+/// strategy-4 quantifier push-down, BuildScanPlan — and copies the
+/// division algorithm and the execution knobs (pipeline, collection,
+/// batch size, parallelism) into the plan. `sf` is a clone of
+/// normalized->sf, or normalized->sf itself when nothing plans from
+/// `normalized` again and the level is below strategy 3: only the rule-2
+/// fallback reads normalized->sf. The result's verdicts, notes and replan
+/// count include the level-independent stage's; `normalized` changes only
+/// in its probe memo.
+Result<PlannedQuery> CompileLevel(const Database& db, StandardForm sf,
+                                  NormalizedQuery* normalized,
+                                  const PlannerOptions& options);
+
+/// The per-level stage, second half: the physical knobs on a compiled
+/// plan — ordered transient indexes, permanent-index use, and the
+/// join-order DP. The permanent-index choice and the join orders are
+/// recomputed from scratch, so a plan can be re-knobbed in place;
+/// prefer_ordered_indexes only ever sets the ordered flag. When the DP
+/// needed a collection-phase cost walk and `dp_walk` is non-null, the
+/// walk is saved there, so the plan-search driver can cost the plan
+/// without walking the collection phase again; otherwise `*dp_walk` is
+/// left invalid.
+void ApplyPhysicalKnobs(const Database& db, const PlannerOptions& options,
+                        PlannedQuery* planned,
+                        CollectionCost* dp_walk = nullptr);
 
 /// PlanQuery + ExecutePlan.
 Result<QueryRun> RunQuery(const Database& db, BoundQuery query,

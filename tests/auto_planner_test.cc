@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/counters.h"
 #include "cost/plan_search.h"
 #include "opt/explain.h"
 #include "opt/planner.h"
@@ -325,20 +326,37 @@ TEST(AutoPlannerTest, MaterializingSessionKeepsMaterializingRanking) {
       << planned->cost_candidates;
 }
 
-TEST(AutoPlannerTest, CostBasedFlagEquivalentToAutoLevel) {
+TEST(AutoPlannerTest, AutoLevelRunsThePlanSearch) {
   auto db = MakeUniversityDb();
   ASSERT_TRUE(db->AnalyzeAll().ok());
   Binder binder(db.get());
-  Result<BoundQuery> bound =
-      binder.Bind(ParseSelection(Example21QuerySource()).Clone());
-  ASSERT_TRUE(bound.ok());
+  auto bind = [&] {
+    Result<BoundQuery> bound =
+        binder.Bind(ParseSelection(Example21QuerySource()).Clone());
+    EXPECT_TRUE(bound.ok());
+    return std::move(bound).value();
+  };
   PlannerOptions options;
-  options.level = OptLevel::kOneStep;  // concrete level, but...
-  options.cost_based = true;           // ...the flag forces the search
-  Result<PlannedQuery> planned =
-      PlanQuery(*db, std::move(bound).value(), options);
+  options.level = OptLevel::kAuto;
+  CompileCounters before = GlobalCompileCounters();
+  Result<PlannedQuery> planned = PlanQuery(*db, bind(), options);
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  CompileCounters after = GlobalCompileCounters();
+  EXPECT_EQ(after.plan_searches - before.plan_searches, 1u);
+  EXPECT_GT(after.plans - before.plans, 1u);  // one per candidate
   EXPECT_TRUE(planned->cost_based);
+  EXPECT_NE(planned->cost_candidates.find("chosen: "), std::string::npos);
+
+  // A concrete level plans once, without a search.
+  options.level = OptLevel::kOneStep;
+  before = GlobalCompileCounters();
+  planned = PlanQuery(*db, bind(), options);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  after = GlobalCompileCounters();
+  EXPECT_EQ(after.plan_searches - before.plan_searches, 0u);
+  EXPECT_EQ(after.plans - before.plans, 1u);
+  EXPECT_FALSE(planned->cost_based);
+  EXPECT_TRUE(planned->cost_candidates.empty());
 }
 
 }  // namespace
