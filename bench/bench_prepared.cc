@@ -48,17 +48,24 @@ void BM_ColdQuery(benchmark::State& state) {
   session.options().level = OptLevel::kAuto;
   CompileCounters before = GlobalCompileCounters();
   int64_t top = 0;
+  // The work counters come from the first execution (top = 8 for n > 7):
+  // `top` cycles with the iteration count, which varies with timing, so
+  // the last execution's counters would not be deterministic.
   size_t results = 0;
-  ExecStats last;
+  ExecStats first_stats;
+  bool first = true;
   for (auto _ : state) {
     top = 1 + (top + 7) % static_cast<int64_t>(n);
     auto run = session.Query(LiteralQuerySource(top));
     if (!run.ok()) std::abort();
-    results = run->tuples.size();
-    last = run->stats;
+    if (first) {
+      results = run->tuples.size();
+      first_stats = run->stats;
+      first = false;
+    }
     benchmark::DoNotOptimize(run->tuples);
   }
-  ExportStats(state, last, results);
+  ExportStats(state, first_stats, results);
   const CompileCounters& now = GlobalCompileCounters();
   double iters = static_cast<double>(std::max<int64_t>(1, state.iterations()));
   state.counters["parses_per_iter"] =
@@ -82,17 +89,21 @@ void BM_PreparedReexecute(benchmark::State& state) {
   int64_t top = 0;
   size_t results = 0;
   bool all_hits = true;
-  ExecStats last;
+  ExecStats first_stats;  // first execution's; see BM_ColdQuery
+  bool first = true;
   for (auto _ : state) {
     top = 1 + (top + 7) % static_cast<int64_t>(n);
     auto exec = prepared->Execute({{"top", Value::MakeInt(top)}});
     if (!exec.ok()) std::abort();
     all_hits = all_hits && exec->plan_cache_hit;
-    results = exec->tuples.size();
-    last = exec->stats;
+    if (first) {
+      results = exec->tuples.size();
+      first_stats = exec->stats;
+      first = false;
+    }
     benchmark::DoNotOptimize(exec->tuples);
   }
-  ExportStats(state, last, results);
+  ExportStats(state, first_stats, results);
   const CompileCounters& now = GlobalCompileCounters();
   double iters = static_cast<double>(std::max<int64_t>(1, state.iterations()));
   state.counters["parses_per_iter"] =

@@ -1,16 +1,22 @@
 // Reference-relation algebra micro-benchmarks: the combination-phase
 // operators of §3.3 (natural join, product extension, union, projection),
 // plus the kernels under them — RefRelation's dedup insert, the join-key
-// table's build and probe, and index builds over few distinct values.
-// A kernel trajectory, not gated.
+// table's build and probe, index builds over few distinct values, the
+// indirect-join equality probe (HashIndex::FindEqual) and the quantifier
+// value list's Add (§4.4). A kernel trajectory: wall time is not gated,
+// but the FindEqual and ValueList kernels export deterministic
+// probes/hits counters that tools/bench_compare.py checks against
+// bench/baselines/BENCH_bench_refstruct.json.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"  // shared main(): BENCH_*.json reporter
 
 #include "index/btree_index.h"
+#include "base/str_util.h"
 #include "index/hash_index.h"
 #include "refstruct/ops.h"
+#include "refstruct/value_list.h"
 
 namespace pascalr {
 namespace {
@@ -142,6 +148,74 @@ BENCHMARK_TEMPLATE(BM_IndexBuild, BTreeIndex)
     ->Args({30000, 5})
     ->Args({30000, 1000})
     ->Unit(benchmark::kMillisecond);
+
+Value IntKey(int64_t i) { return Value::MakeInt(i); }
+Value StringKey(int64_t i) {
+  return Value::MakeString(StrFormat("K%lld", static_cast<long long>(i)));
+}
+
+/// FindEqual against a HashIndex of `values` distinct keys (4 refs each),
+/// probing 2 * `values` keys of which every other one is present — the
+/// indirect join's `=` probe (§3.2). hits = probes that found refs.
+void BM_HashIndexFindEqual(benchmark::State& state, Value (*key)(int64_t)) {
+  const int64_t values = state.range(0);
+  HashIndex index;
+  for (int64_t i = 0; i < values; ++i) {
+    for (uint32_t r = 0; r < 4; ++r) {
+      index.Add(key(i), R(1, static_cast<uint32_t>(i) * 4 + r));
+    }
+  }
+  std::vector<Value> probes;
+  for (int64_t i = 0; i < 2 * values; ++i) {
+    probes.push_back(key(i % 2 == 0 ? i / 2 : values + i));
+  }
+  size_t hits = 0;
+  for (auto _ : state) {
+    hits = 0;
+    for (const Value& probe : probes) {
+      if (index.FindEqual(probe) != nullptr) ++hits;
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(probes.size()));
+  state.counters["probes"] = static_cast<double>(probes.size());
+  state.counters["hits"] = static_cast<double>(hits);
+}
+BENCHMARK_CAPTURE(BM_HashIndexFindEqual, int, IntKey)->Arg(10000);
+BENCHMARK_CAPTURE(BM_HashIndexFindEqual, string, StringKey)->Arg(10000);
+
+/// A pushed-down quantifier's value list (§4.4): `adds` Adds over
+/// adds / 4 distinct ints in scrambled order, then 1024 probes of the
+/// mode's own question — SOME = for kFull, SOME > for kMinOnly.
+/// hits = probes answered true.
+void BM_ValueListAdd(benchmark::State& state, ValueList::Mode mode) {
+  const auto adds = static_cast<int64_t>(state.range(0));
+  const CompareOp op =
+      mode == ValueList::Mode::kFull ? CompareOp::kEq : CompareOp::kGt;
+  std::vector<Value> input;
+  for (int64_t i = 0; i < adds; ++i) {
+    input.push_back(Value::MakeInt((i * 7919) % (adds / 4) + 1));
+  }
+  size_t hits = 0;
+  for (auto _ : state) {
+    ValueList list(mode);
+    for (const Value& v : input) list.Add(v);
+    hits = 0;
+    for (int64_t x = 0; x < 1024; ++x) {
+      Result<bool> some = list.SatisfiesSome(op, Value::MakeInt(x * 37));
+      if (some.ok() && *some) ++hits;
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * adds);
+  state.counters["probes"] = 1024;
+  state.counters["hits"] = static_cast<double>(hits);
+}
+BENCHMARK_CAPTURE(BM_ValueListAdd, full, ValueList::Mode::kFull)
+    ->Arg(100000);
+BENCHMARK_CAPTURE(BM_ValueListAdd, min, ValueList::Mode::kMinOnly)
+    ->Arg(100000);
 
 }  // namespace
 }  // namespace pascalr

@@ -36,6 +36,17 @@ inline uint64_t Fnv1a64(const void* data, size_t n, uint64_t seed = 146959810393
   return h;
 }
 
+/// The murmur3 64-bit finalizer: a bijection on 64-bit words whose every
+/// output bit depends on every input bit.
+inline uint64_t Fmix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
 /// Mixes a 64-bit value into a running hash (boost::hash_combine style).
 inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "base/math_util.h"
 #include "base/str_util.h"
-#include "index/index.h"
+#include "refstruct/flat_hash.h"
 
 namespace pascalr {
 
@@ -167,7 +166,7 @@ RelationStats ComputeRelationStats(const Relation& rel,
 
   const size_t n = rel.schema().num_components();
   stats.columns.resize(n);
-  std::vector<std::unordered_set<Value, ValueHash>> distinct(n);
+  std::vector<FlatValueSet> distinct(n);
   std::vector<std::vector<int64_t>> numeric_values(n);
   for (size_t i = 0; i < n; ++i) {
     stats.columns[i].name = rel.schema().component(i).name;
@@ -177,7 +176,7 @@ RelationStats ComputeRelationStats(const Relation& rel,
     for (size_t i = 0; i < n; ++i) {
       const Value& v = tuple.at(i);
       ColumnStats& col = stats.columns[i];
-      distinct[i].insert(v);
+      distinct[i].Insert(v);
       if (!col.has_min_max) {
         col.min = v;
         col.max = v;

@@ -84,8 +84,9 @@ Result<Cursor> Cursor::Open(std::shared_ptr<const QueryPlan> plan,
     if (compiled.ok() && compiled->ok()) {
       run.pipeline = std::move(compiled).value();
       PASCALR_ASSIGN_OR_RETURN(
-          run.column_of_var,
+          std::vector<int> column_of_var,
           ResolveProjectionColumns(*c.plan_, run.pipeline.columns));
+      run.dedup = ResultDedup(*c.plan_, column_of_var, &db, &run.stats);
       if (profile != nullptr) {
         // Construction (dereference + projection + dedup) runs in the
         // cursor above the pipeline sink; a node of its own lets EXPLAIN
@@ -123,8 +124,9 @@ Result<Cursor> Cursor::Open(std::shared_ptr<const QueryPlan> plan,
       profile->SetRoot(run.root_prof);
     }
   }
-  PASCALR_ASSIGN_OR_RETURN(run.column_of_var,
+  PASCALR_ASSIGN_OR_RETURN(std::vector<int> column_of_var,
                            ResolveProjectionColumns(*c.plan_, run.combined));
+  run.dedup = ResultDedup(*c.plan_, column_of_var, &db, &run.stats);
   run.stats_at_open = run.stats;
   c.open_ = true;
   return c;
@@ -161,52 +163,33 @@ Result<bool> Cursor::Next(Tuple* out) {
 
 Result<bool> Cursor::NextImpl(Tuple* out) {
   RunState& run = *run_;
-  if (run.pipeline.ok()) {
-    if (plan_->batch_size > 1) {
+  while (true) {
+    const RefRow* row = &run.scratch;
+    if (!run.pipeline.ok()) {
+      if (run.row >= run.combined.rows().size()) return false;
+      row = &run.combined.row(run.row++);
+    } else if (plan_->batch_size > 1) {
       // Batched drain: refill a column-major chunk from the sink, then
       // construct tuples row-by-row out of it. The sink accumulates
       // full chunks, so batches_emitted is ceil(rows / batch) for a
       // full drain regardless of upstream (morsel) chunking.
-      while (true) {
-        if (run.chunk_pos >= run.chunk.rows) {
-          run.chunk.capacity = plan_->batch_size;
-          PASCALR_ASSIGN_OR_RETURN(bool more,
-                                   run.pipeline.root->NextBatch(&run.chunk));
-          if (!more) return false;
-          run.chunk_pos = 0;
-          ++run.stats.batches_emitted;
-        }
-        run.chunk.RowAt(run.chunk_pos++, &run.scratch);
-        PASCALR_ASSIGN_OR_RETURN(
-            Tuple tuple, ConstructRow(*plan_, run.scratch, run.column_of_var,
-                                      *db_, &run.stats));
-        if (!run.seen.insert(tuple).second) continue;  // duplicate row
-        *out = std::move(tuple);
-        return true;
+      if (run.chunk_pos >= run.chunk.rows) {
+        run.chunk.capacity = plan_->batch_size;
+        PASCALR_ASSIGN_OR_RETURN(bool more,
+                                 run.pipeline.root->NextBatch(&run.chunk));
+        if (!more) return false;
+        run.chunk_pos = 0;
+        ++run.stats.batches_emitted;
       }
-    }
-    RefRow row;
-    while (true) {
-      PASCALR_ASSIGN_OR_RETURN(bool more, run.pipeline.root->Next(&row));
+      run.chunk.RowAt(run.chunk_pos++, &run.scratch);
+    } else {
+      PASCALR_ASSIGN_OR_RETURN(bool more,
+                               run.pipeline.root->Next(&run.scratch));
       if (!more) return false;
-      PASCALR_ASSIGN_OR_RETURN(
-          Tuple tuple,
-          ConstructRow(*plan_, row, run.column_of_var, *db_, &run.stats));
-      if (!run.seen.insert(tuple).second) continue;  // duplicate row
-      *out = std::move(tuple);
-      return true;
     }
+    PASCALR_ASSIGN_OR_RETURN(bool fresh, run.dedup.Next(*row, out));
+    if (fresh) return true;  // else a duplicate row: pull the next one
   }
-  while (run.row < run.combined.rows().size()) {
-    const RefRow& row = run.combined.row(run.row++);
-    PASCALR_ASSIGN_OR_RETURN(
-        Tuple tuple,
-        ConstructRow(*plan_, row, run.column_of_var, *db_, &run.stats));
-    if (!run.seen.insert(tuple).second) continue;  // duplicate row
-    *out = std::move(tuple);
-    return true;
-  }
-  return false;
 }
 
 void Cursor::Close() {
@@ -227,11 +210,12 @@ void Cursor::Close() {
     run_->pipeline.root.reset();
     if (sink_ != nullptr) sink_->Merge(run_->stats);
     if (close_hook_) {
-      // seen's size is exactly the emitted-tuple count on both execution
-      // paths (every emitted tuple passes dedup), unlike rows_emitted
-      // which only counts when a tracer is attached.
-      close_hook_(run_->stats, run_->seen.size());
+      // The dedup's size is exactly the emitted-tuple count on both
+      // execution paths (every emitted tuple passes dedup), unlike
+      // rows_emitted which only counts when a tracer is attached.
+      close_hook_(run_->stats, run_->dedup.size());
     }
+    run_->dedup.Clear();
   }
   close_hook_ = nullptr;
   sink_ = nullptr;

@@ -3,8 +3,9 @@
 // Pipelined mode (QueryPlan::pipeline, the default): Open compiles the
 // combination phase into a join-iterator tree (src/pipeline/); every Next
 // pulls ONE combination row through that tree and straight into the
-// per-tuple construction helpers — dereference + projection + duplicate
-// elimination on demand. Under the eager collection policy Open still
+// construction phase's ResultDedup (exec/construction.h) — dereference +
+// projection + duplicate elimination on demand. Every drain (batched,
+// row-at-a-time, materializing) goes through that one helper. Under the eager collection policy Open still
 // runs the whole collection phase (paper §3.3 step 1) first; under
 // CollectionPolicy::kLazy Open only *registers* per-structure builders
 // and every piece of collection work — structure builds, index builds,
@@ -28,12 +29,12 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "base/status.h"
 #include "catalog/database.h"
 #include "exec/collection.h"
+#include "exec/construction.h"
 #include "exec/plan.h"
 #include "exec/stats.h"
 #include "pipeline/compile.h"
@@ -135,8 +136,10 @@ class Cursor {
     RefRow scratch;             ///< reused per-row construction input
     RefRelation combined;       ///< materializing path only
     size_t row = 0;
-    std::vector<int> column_of_var;
-    std::unordered_set<Tuple, TupleHash> seen;
+    /// Dereference + projection + duplicate elimination. Holds the
+    /// projected refs of each emitted tuple's first row (no Tuple
+    /// copies); its size is the emitted-tuple count, and Close frees it.
+    ResultDedup dedup;
 
     // ---- observability (null/-1 on every untraced, unprofiled run) ----
     /// Thread-current tracer captured at Open; when set, Next accumulates

@@ -4,26 +4,40 @@
 
 namespace pascalr {
 
+uint32_t HashIndex::Find(const Value& v) const {
+  return table_.Find(v.Hash(),
+                     [&](uint32_t pos) { return entries_[pos].value == v; });
+}
+
 void HashIndex::Add(const Value& v, const Ref& ref) {
-  RefList& list = map_[v];
-  if (AppendUnique(&list.refs, &list.ascending, ref)) ++entry_count_;
+  const auto [pos, inserted] = table_.FindOrInsert(
+      v.Hash(), [&](uint32_t pos) { return entries_[pos].value == v; });
+  if (inserted) entries_.push_back(Entry{v, {}, true});
+  Entry& entry = entries_[pos];
+  const bool was_empty = entry.refs.empty();
+  if (!AppendUnique(&entry.refs, &entry.ascending, ref)) return;
+  ++entry_count_;
+  if (was_empty) ++distinct_count_;
 }
 
 bool HashIndex::Remove(const Value& v, const Ref& ref) {
-  auto it = map_.find(v);
-  if (it == map_.end()) return false;
-  auto& refs = it->second.refs;
-  auto pos = std::find(refs.begin(), refs.end(), ref);
-  if (pos == refs.end()) return false;
-  refs.erase(pos);
+  const uint32_t pos = Find(v);
+  if (pos == FlatHashTable::kNone) return false;
+  std::vector<Ref>& refs = entries_[pos].refs;
+  auto it = std::find(refs.begin(), refs.end(), ref);
+  if (it == refs.end()) return false;
+  refs.erase(it);
   --entry_count_;
-  if (refs.empty()) map_.erase(it);
+  if (refs.empty()) --distinct_count_;
   return true;
 }
 
 const std::vector<Ref>* HashIndex::FindEqual(const Value& probe) const {
-  auto it = map_.find(probe);
-  return it == map_.end() ? nullptr : &it->second.refs;
+  const uint32_t pos = Find(probe);
+  if (pos == FlatHashTable::kNone || entries_[pos].refs.empty()) {
+    return nullptr;
+  }
+  return &entries_[pos].refs;
 }
 
 void HashIndex::Probe(CompareOp op, const Value& probe,
@@ -37,9 +51,9 @@ void HashIndex::Probe(CompareOp op, const Value& probe,
     return;
   }
   // Fallback scan for ordering operators and <>.
-  for (const auto& [value, list] : map_) {
-    if (!value.Satisfies(op, probe)) continue;
-    for (const Ref& r : list.refs) {
+  for (const Entry& entry : entries_) {
+    if (!entry.value.Satisfies(op, probe)) continue;
+    for (const Ref& r : entry.refs) {
       if (!visit(r)) return;
     }
   }
@@ -47,9 +61,9 @@ void HashIndex::Probe(CompareOp op, const Value& probe,
 
 void HashIndex::ForEachEntry(
     const std::function<bool(const Value&, const Ref&)>& visit) const {
-  for (const auto& [value, list] : map_) {
-    for (const Ref& r : list.refs) {
-      if (!visit(value, r)) return;
+  for (const Entry& entry : entries_) {
+    for (const Ref& r : entry.refs) {
+      if (!visit(entry.value, r)) return;
     }
   }
 }

@@ -6,7 +6,9 @@
 // six comparison operators: Probe(op, x) yields every ref whose *stored*
 // value v satisfies `v op x`. Equality, the hot probe of indirect joins,
 // also has a direct lookup: FindEqual(x) returns the ref list stored
-// under exactly x, with no visitor call per ref.
+// under exactly x, with no visitor call per ref. HashIndex answers it with
+// one probe of a flat hash directory (refstruct/flat_hash.h); BTreeIndex
+// with a tree descent.
 //
 // Ascending-add contract: the refs under one value keep their insertion
 // order, and duplicates collapse. A collection pass visits slots in
@@ -83,15 +85,12 @@ class ComponentIndex {
     return found;
   }
 
-  /// Visits every (value, ref) entry. Ordered indexes visit in value order.
+  /// Visits every (value, ref) entry. Ordered indexes visit in value
+  /// order; HashIndex visits its values in first-insertion order.
   virtual void ForEachEntry(
       const std::function<bool(const Value&, const Ref&)>& visit) const = 0;
 
   virtual std::string name() const = 0;
-};
-
-struct ValueHash {
-  uint64_t operator()(const Value& v) const { return v.Hash(); }
 };
 
 }  // namespace pascalr

@@ -1,6 +1,11 @@
-// FlatHashTable: the open-addressing hash directory behind the reference
-// structures' lookups — RefRelation's row dedup and the join-key tables
-// of the pipeline's ProbeJoinIter and of NaturalJoin (paper §3.2–3.3).
+// FlatHashTable: the open-addressing hash directory behind every hashed
+// lookup of the collection and construction phases (paper §3.2-3.3):
+// RefRelation's row dedup, the join-key tables of the pipeline's
+// ProbeJoinIter and of NaturalJoin, HashIndex's value directory (the
+// transient indexes of indirect joins), the construction phase's result
+// dedup (exec/construction.h), and — through FlatValueSet below — the
+// full value lists of pushed-down quantifiers (§4.4) and ANALYZE's
+// per-column distinct counts.
 //
 // The table indexes entries the caller stores elsewhere, by position:
 // entry i carries a cached 64-bit hash, and a power-of-two directory of
@@ -23,6 +28,9 @@
 #include <utility>
 #include <vector>
 
+#include "base/str_util.h"
+#include "value/value.h"
+
 namespace pascalr {
 
 class FlatHashTable {
@@ -36,7 +44,7 @@ class FlatHashTable {
   template <typename Eq>
   uint32_t Find(uint64_t h, const Eq& eq) const {
     if (slots_.empty()) return kNone;
-    for (size_t slot = Mix(h) & mask_;; slot = (slot + 1) & mask_) {
+    for (size_t slot = Fmix64(h) & mask_;; slot = (slot + 1) & mask_) {
       const uint32_t pos = slots_[slot];
       if (pos == kNone) return kNone;
       if (hashes_[pos] == h && eq(pos)) return pos;
@@ -49,7 +57,7 @@ class FlatHashTable {
   std::pair<uint32_t, bool> FindOrInsert(uint64_t h, const Eq& eq) {
     size_t slot = 0;
     if (!slots_.empty()) {
-      for (slot = Mix(h) & mask_;; slot = (slot + 1) & mask_) {
+      for (slot = Fmix64(h) & mask_;; slot = (slot + 1) & mask_) {
         const uint32_t pos = slots_[slot];
         if (pos == kNone) break;
         if (hashes_[pos] == h && eq(pos)) return {pos, false};
@@ -68,22 +76,16 @@ class FlatHashTable {
   /// Drops every entry and releases the storage.
   void Clear();
 
+  /// The longest probe sequence any entry's lookup walks (1 = every entry
+  /// sits in its home slot; 0 when empty): a hash-quality diagnostic.
+  size_t MaxProbeLength() const;
+
  private:
   static constexpr size_t kMinSlots = 16;
 
-  /// The murmur3 64-bit finalizer.
-  static uint64_t Mix(uint64_t h) {
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    h *= 0xc4ceb9fe1a85ec53ULL;
-    h ^= h >> 33;
-    return h;
-  }
-
   /// First empty slot on `h`'s probe sequence.
   size_t FreeSlot(uint64_t h) const {
-    size_t slot = Mix(h) & mask_;
+    size_t slot = Fmix64(h) & mask_;
     while (slots_[slot] != kNone) slot = (slot + 1) & mask_;
     return slot;
   }
@@ -93,6 +95,34 @@ class FlatHashTable {
   std::vector<uint32_t> slots_;   ///< directory: entry position or kNone
   std::vector<uint64_t> hashes_;  ///< cached hash per entry position
   size_t mask_ = 0;               ///< slots_.size() - 1
+};
+
+/// A set of distinct Values in first-insertion order: each value is
+/// hashed once, and the values live in one flat vector.
+class FlatValueSet {
+ public:
+  /// Adds `v`; returns true if it was not in the set.
+  bool Insert(const Value& v) {
+    const bool inserted =
+        table_
+            .FindOrInsert(v.Hash(),
+                          [&](uint32_t pos) { return values_[pos] == v; })
+            .second;
+    if (inserted) values_.push_back(v);
+    return inserted;
+  }
+
+  bool Contains(const Value& v) const {
+    return table_.Find(v.Hash(), [&](uint32_t pos) {
+      return values_[pos] == v;
+    }) != FlatHashTable::kNone;
+  }
+
+  size_t size() const { return values_.size(); }
+
+ private:
+  FlatHashTable table_;        ///< entry i is values_[i]
+  std::vector<Value> values_;  ///< distinct values, first-insertion order
 };
 
 }  // namespace pascalr

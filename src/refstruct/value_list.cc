@@ -21,22 +21,33 @@ ValueList::Mode ValueList::ModeFor(CompareOp op, Quantifier q) {
 }
 
 void ValueList::Add(const Value& v) {
-  ++count_;
-  if (!has_any_) {
-    has_any_ = true;
+  const bool first = count_++ == 0;
+  switch (mode_) {
+    case Mode::kFull:
+      // A repeated value cannot move the bounds.
+      if (!values_.Insert(v)) return;
+      break;
+    case Mode::kMinOnly:
+      if (first || v < min_) min_ = v;
+      return;
+    case Mode::kMaxOnly:
+      if (first || max_ < v) max_ = v;
+      return;
+    case Mode::kAtMostOne:
+      break;
+  }
+  if (first) {
     min_ = v;
     max_ = v;
-    the_one_ = v;
-  } else {
-    if (v < min_) min_ = v;
-    if (max_ < v) max_ = v;
-    if (!many_distinct_ && v != the_one_) many_distinct_ = true;
+  } else if (v < min_) {
+    min_ = v;
+  } else if (max_ < v) {
+    max_ = v;
   }
-  if (mode_ == Mode::kFull) values_.insert(v);
 }
 
 size_t ValueList::stored_values() const {
-  if (!has_any_) return 0;
+  if (empty()) return 0;
   switch (mode_) {
     case Mode::kFull:
       return values_.size();
@@ -44,7 +55,7 @@ size_t ValueList::stored_values() const {
     case Mode::kMaxOnly:
       return 1;
     case Mode::kAtMostOne:
-      return many_distinct_ ? 2 : 1;  // value + overflow marker
+      return ManyDistinct() ? 2 : 1;  // value + overflow marker
   }
   return 0;
 }
@@ -57,21 +68,18 @@ Status ValueList::NeedFull(CompareOp op) const {
 }
 
 Result<bool> ValueList::SatisfiesSome(CompareOp op, const Value& x) const {
-  if (!has_any_) return false;  // SOME over the empty list
+  if (empty()) return false;  // SOME over the empty list
   switch (op) {
     case CompareOp::kEq:
       // exists w: x = w  <=>  x in list
       PASCALR_RETURN_IF_ERROR(NeedFull(op));
-      return values_.count(x) > 0;
+      return values_.Contains(x);
     case CompareOp::kNe:
       // exists w: x <> w  <=>  >=2 distinct values, or the single one != x
       if (mode_ != Mode::kAtMostOne && mode_ != Mode::kFull) {
         return NeedFull(op);
       }
-      if (mode_ == Mode::kFull) {
-        return values_.size() >= 2 || values_.count(x) == 0;
-      }
-      return many_distinct_ || the_one_ != x;
+      return ManyDistinct() || min_ != x;
     case CompareOp::kLt:
       // exists w: x < w  <=>  x < max
       if (mode_ == Mode::kMinOnly) return NeedFull(op);
@@ -91,21 +99,18 @@ Result<bool> ValueList::SatisfiesSome(CompareOp op, const Value& x) const {
 }
 
 Result<bool> ValueList::SatisfiesAll(CompareOp op, const Value& x) const {
-  if (!has_any_) return true;  // ALL over the empty list (vacuous)
+  if (empty()) return true;  // ALL over the empty list (vacuous)
   switch (op) {
     case CompareOp::kEq:
       // all w: x = w  <=>  exactly one distinct value and it is x
       if (mode_ != Mode::kAtMostOne && mode_ != Mode::kFull) {
         return NeedFull(op);
       }
-      if (mode_ == Mode::kFull) {
-        return values_.size() == 1 && values_.count(x) > 0;
-      }
-      return !many_distinct_ && the_one_ == x;
+      return !ManyDistinct() && min_ == x;
     case CompareOp::kNe:
       // all w: x <> w  <=>  x not in list
       PASCALR_RETURN_IF_ERROR(NeedFull(op));
-      return values_.count(x) == 0;
+      return !values_.Contains(x);
     case CompareOp::kLt:
       // all w: x < w  <=>  x < min
       if (mode_ == Mode::kMaxOnly) return NeedFull(op);

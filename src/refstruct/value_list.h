@@ -11,16 +11,22 @@
 //
 // Probes are phrased from the scanning side: x is vm's component value,
 // and the question is "does x op w hold for SOME / ALL w in the list?".
+//
+// Each mode keeps only the fields its probes read, and Add touches only
+// those: kMinOnly the minimum, kMaxOnly the maximum, kAtMostOne both
+// (two distinct values exist exactly when min < max, so the pair is the
+// "first value + saw a second" summary and still answers ordering
+// probes), and kFull both plus the distinct values in a FlatValueSet
+// (refstruct/flat_hash.h), each value hashed once and stored flat.
 
 #ifndef PASCALR_REFSTRUCT_VALUE_LIST_H_
 #define PASCALR_REFSTRUCT_VALUE_LIST_H_
 
 #include <string>
-#include <unordered_set>
 
 #include "base/status.h"
 #include "calculus/ast.h"
-#include "index/index.h"
+#include "refstruct/flat_hash.h"
 #include "value/value.h"
 
 namespace pascalr {
@@ -28,10 +34,10 @@ namespace pascalr {
 class ValueList {
  public:
   enum class Mode : uint8_t {
-    kFull,      ///< hash set + min/max
+    kFull,      ///< distinct-value set + min/max
     kMinOnly,   ///< O(1): minimum and count
     kMaxOnly,   ///< O(1): maximum and count
-    kAtMostOne, ///< O(1): first distinct value + "saw a second" flag
+    kAtMostOne, ///< O(1): min/max (one distinct value iff min = max)
   };
 
   explicit ValueList(Mode mode = Mode::kFull) : mode_(mode) {}
@@ -61,13 +67,14 @@ class ValueList {
  private:
   Status NeedFull(CompareOp op) const;
 
+  /// kAtMostOne / kFull: at least two distinct values added.
+  bool ManyDistinct() const { return min_ < max_; }
+
   Mode mode_;
   size_t count_ = 0;
-  bool has_any_ = false;
-  Value min_, max_;
-  bool many_distinct_ = false;  ///< kAtMostOne: saw >= 2 distinct values
-  Value the_one_;               ///< kAtMostOne: the single distinct value
-  std::unordered_set<Value, ValueHash> values_;  ///< kFull
+  Value min_;            ///< all modes but kMaxOnly
+  Value max_;            ///< all modes but kMinOnly
+  FlatValueSet values_;  ///< kFull
 };
 
 }  // namespace pascalr

@@ -18,7 +18,7 @@ int Tuple::Compare(const Tuple& other) const {
 }
 
 uint64_t Tuple::Hash() const {
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = kHashSeed;
   for (const Value& v : values_) h = HashCombine(h, v.Hash());
   return h;
 }

@@ -32,7 +32,10 @@ class Tuple {
   bool operator!=(const Tuple& other) const { return Compare(other) != 0; }
   bool operator<(const Tuple& other) const { return Compare(other) < 0; }
 
+  /// Folds each value's Hash() into kHashSeed with HashCombine, in
+  /// component order.
   uint64_t Hash() const;
+  static constexpr uint64_t kHashSeed = 0xcbf29ce484222325ULL;
 
   /// Projects the tuple onto the given component positions.
   Tuple Project(const std::vector<size_t>& positions) const;

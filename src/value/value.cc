@@ -109,7 +109,9 @@ uint64_t Value::Hash() const {
   } else {
     raw = static_cast<uint64_t>(static_cast<uint32_t>(AsEnumOrdinal()));
   }
-  return HashCombine(tag, Fnv1a64(&raw, sizeof(raw)));
+  // One finalizer round over the raw bits, salted by the kind so that an
+  // int, a bool and an enum holding the same bits hash apart.
+  return Fmix64(raw ^ ((tag + 1) * 0x9e3779b97f4a7c15ULL));
 }
 
 std::string Value::ToString() const {

@@ -91,6 +91,68 @@ TEST(HashIndexTest, ForEachEntryVisitsAll) {
   EXPECT_EQ(count, 2u);
 }
 
+TEST(HashIndexTest, RemoveToEmptyThenReAdd) {
+  HashIndex idx;
+  idx.Add(Value::MakeInt(5), R(0));
+  idx.Add(Value::MakeInt(5), R(1));
+  idx.Add(Value::MakeInt(7), R(2));
+  ASSERT_EQ(idx.num_distinct_values(), 2u);
+  ASSERT_TRUE(idx.Remove(Value::MakeInt(5), R(0)));
+  EXPECT_EQ(idx.num_distinct_values(), 2u);
+  ASSERT_TRUE(idx.Remove(Value::MakeInt(5), R(1)));
+  // The emptied value is gone for every reader...
+  EXPECT_EQ(idx.FindEqual(Value::MakeInt(5)), nullptr);
+  EXPECT_FALSE(idx.ProbeAny(CompareOp::kEq, Value::MakeInt(5)));
+  EXPECT_EQ(idx.num_distinct_values(), 1u);
+  EXPECT_EQ(idx.size(), 1u);
+  EXPECT_FALSE(idx.Remove(Value::MakeInt(5), R(1)));
+  std::vector<uint32_t> visited;
+  idx.ForEachEntry([&](const Value&, const Ref& r) {
+    visited.push_back(r.slot);
+    return true;
+  });
+  EXPECT_EQ(visited, (std::vector<uint32_t>{2}));
+  // ...and a re-Add revives it.
+  idx.Add(Value::MakeInt(5), R(3));
+  ASSERT_NE(idx.FindEqual(Value::MakeInt(5)), nullptr);
+  EXPECT_EQ(*idx.FindEqual(Value::MakeInt(5)), (std::vector<Ref>{R(3)}));
+  EXPECT_EQ(idx.num_distinct_values(), 2u);
+  EXPECT_EQ(idx.size(), 2u);
+}
+
+TEST(HashIndexTest, ScansVisitValuesInFirstInsertionOrder) {
+  HashIndex idx;
+  // Values first seen in the order 30, 10, 20, 40; 10 gains a second ref
+  // after 20 arrived, and 20 is emptied and revived in place.
+  idx.Add(Value::MakeInt(30), R(0));
+  idx.Add(Value::MakeInt(10), R(1));
+  idx.Add(Value::MakeInt(20), R(2));
+  idx.Add(Value::MakeInt(10), R(3));
+  idx.Add(Value::MakeInt(40), R(4));
+  ASSERT_TRUE(idx.Remove(Value::MakeInt(20), R(2)));
+  idx.Add(Value::MakeInt(20), R(5));
+
+  std::vector<std::pair<int64_t, uint32_t>> entries;
+  idx.ForEachEntry([&](const Value& v, const Ref& r) {
+    entries.emplace_back(v.AsInt(), r.slot);
+    return true;
+  });
+  EXPECT_EQ(entries, (std::vector<std::pair<int64_t, uint32_t>>{
+                         {30, 0}, {10, 1}, {10, 3}, {20, 5}, {40, 4}}));
+
+  auto probe = [&](CompareOp op, int64_t x) {
+    std::vector<uint32_t> hits;
+    idx.Probe(op, Value::MakeInt(x), [&](const Ref& r) {
+      hits.push_back(r.slot);
+      return true;
+    });
+    return hits;
+  };
+  EXPECT_EQ(probe(CompareOp::kNe, 20), (std::vector<uint32_t>{0, 1, 3, 4}));
+  EXPECT_EQ(probe(CompareOp::kLt, 35), (std::vector<uint32_t>{0, 1, 3, 5}));
+  EXPECT_EQ(probe(CompareOp::kGe, 20), (std::vector<uint32_t>{0, 5, 4}));
+}
+
 TEST(HashIndexTest, StringKeys) {
   HashIndex idx;
   idx.Add(Value::MakeString("alpha"), R(0));

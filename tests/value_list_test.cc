@@ -1,5 +1,9 @@
 #include "refstruct/value_list.h"
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace pascalr {
@@ -83,6 +87,96 @@ INSTANTIATE_TEST_SUITE_P(AllOps, ValueListOpTest,
                          ::testing::Values(CompareOp::kEq, CompareOp::kNe,
                                            CompareOp::kLt, CompareOp::kLe,
                                            CompareOp::kGt, CompareOp::kGe));
+
+// ------------------------------------------ exhaustive oracle, every mode
+
+/// The probes a mode can answer, from the paper's table (§4.4) read
+/// per field: the minimum answers SOME > / >= and ALL < / <=, the maximum
+/// the mirrored four; kAtMostOne keeps both bounds (so it answers every
+/// ordering probe) plus the one-distinct-value test behind ALL = and
+/// SOME <>; only kFull answers SOME = and ALL <>, which need membership.
+bool Answerable(ValueList::Mode mode, CompareOp op, Quantifier q) {
+  const bool some = q == Quantifier::kSome;
+  const bool needs_min = some ? (op == CompareOp::kGt || op == CompareOp::kGe)
+                              : (op == CompareOp::kLt || op == CompareOp::kLe);
+  const bool needs_max = some ? (op == CompareOp::kLt || op == CompareOp::kLe)
+                              : (op == CompareOp::kGt || op == CompareOp::kGe);
+  const bool needs_one = some ? op == CompareOp::kNe : op == CompareOp::kEq;
+  switch (mode) {
+    case ValueList::Mode::kFull:
+      return true;
+    case ValueList::Mode::kMinOnly:
+      return needs_min;
+    case ValueList::Mode::kMaxOnly:
+      return needs_max;
+    case ValueList::Mode::kAtMostOne:
+      return needs_min || needs_max || needs_one;
+  }
+  return false;
+}
+
+TEST(ValueListOracleTest, EveryModeOpAndQuantifierMatchesBruteForce) {
+  const ValueList::Mode kModes[] = {
+      ValueList::Mode::kFull, ValueList::Mode::kMinOnly,
+      ValueList::Mode::kMaxOnly, ValueList::Mode::kAtMostOne};
+  const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  const std::vector<int64_t> kLists[] = {
+      {},                                  // empty
+      {5},                                 // one value
+      {4, 4, 4},                           // one value, repeated
+      {6, 2, 6, 2, 2},                     // two values, repeated
+      {7, 3, 9, 1, 8, 3, 10, 0, 5, 9, 1},  // many values, some repeated
+      {9, 8, 7, 6, 5, 4, 3, 2},            // descending: max set first
+      {2, 3, 4, 5, 6, 7, 8, 9},            // ascending: min set first
+  };
+  for (ValueList::Mode mode : kModes) {
+    for (const std::vector<int64_t>& list : kLists) {
+      ValueList vl(mode);
+      for (int64_t w : list) vl.Add(V(w));
+      ASSERT_EQ(vl.count(), list.size());
+      ASSERT_EQ(vl.empty(), list.empty());
+      const std::set<int64_t> distinct(list.begin(), list.end());
+      size_t stored = 0;
+      if (!list.empty()) {
+        switch (mode) {
+          case ValueList::Mode::kFull: stored = distinct.size(); break;
+          case ValueList::Mode::kMinOnly:
+          case ValueList::Mode::kMaxOnly: stored = 1; break;
+          case ValueList::Mode::kAtMostOne:
+            stored = distinct.size() >= 2 ? 2 : 1;
+            break;
+        }
+      }
+      EXPECT_EQ(vl.stored_values(), stored) << vl.DebugString();
+      for (CompareOp op : kOps) {
+        for (Quantifier q : {Quantifier::kSome, Quantifier::kAll}) {
+          const bool some = q == Quantifier::kSome;
+          for (int64_t x = -1; x <= 11; ++x) {
+            Result<bool> got =
+                some ? vl.SatisfiesSome(op, V(x)) : vl.SatisfiesAll(op, V(x));
+            const std::string where =
+                vl.DebugString() + " op=" +
+                std::string(CompareOpToString(op)) +
+                (some ? " SOME" : " ALL") + " x=" + std::to_string(x) +
+                " list size " + std::to_string(list.size());
+            // The empty list answers everything (SOME false, ALL true)
+            // before any mode check.
+            if (!list.empty() && !Answerable(mode, op, q)) {
+              ASSERT_FALSE(got.ok()) << where;
+              EXPECT_EQ(got.status().code(), StatusCode::kInternal) << where;
+              continue;
+            }
+            ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+            EXPECT_EQ(*got, some ? BruteSome(list, op, x)
+                                 : BruteAll(list, op, x))
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(ValueListTest, SummaryModesStoreO1Values) {
   ValueList max_only(ValueList::Mode::kMaxOnly);

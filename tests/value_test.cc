@@ -1,11 +1,20 @@
 #include "value/value.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "pascalr/sample_db.h"
+#include "refstruct/flat_hash.h"
+#include "value/tuple.h"
 #include "value/type.h"
 
 namespace pascalr {
 namespace {
+
+/// Longest probe walk the hash-quality tests tolerate at half load.
+constexpr size_t kMaxProbeBound = 64;
 
 TEST(ValueTest, KindsAndAccessors) {
   EXPECT_TRUE(Value::MakeInt(3).is_int());
@@ -108,6 +117,85 @@ TEST(ValueTest, HashEqualValuesAgree) {
   // Different kinds holding the "same" bits must not collide by identity.
   EXPECT_NE(Value::MakeInt(1).Hash(), Value::MakeBool(true).Hash());
   EXPECT_NE(Value::MakeInt(0).Hash(), Value::MakeEnum(0).Hash());
+}
+
+// ------------------------------------------------------------ hash quality
+
+TEST(ValueHashQualityTest, IntsHashToDistinctValues) {
+  std::vector<uint64_t> hashes;
+  for (int64_t i = 1; i <= 100000; ++i) {
+    hashes.push_back(Value::MakeInt(i).Hash());
+  }
+  std::sort(hashes.begin(), hashes.end());
+  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
+}
+
+TEST(ValueHashQualityTest, KindsWithTheSameRawBitsHashApart) {
+  for (int32_t raw = 0; raw <= 1000; ++raw) {
+    EXPECT_NE(Value::MakeInt(raw).Hash(), Value::MakeEnum(raw).Hash()) << raw;
+  }
+  for (bool b : {false, true}) {
+    const int32_t raw = b ? 1 : 0;
+    EXPECT_NE(Value::MakeBool(b).Hash(), Value::MakeInt(raw).Hash()) << b;
+    EXPECT_NE(Value::MakeBool(b).Hash(), Value::MakeEnum(raw).Hash()) << b;
+  }
+}
+
+/// Longest FlatHashTable probe over the <tenr, tcnr, tday> keys of the
+/// timetable relation (its Figure 1 key), hashed the way the reference
+/// structures and the result dedup fold component hashes.
+size_t MaxTimetableKeyProbe(const Database& db) {
+  FlatHashTable table;
+  std::vector<Tuple> keys;
+  db.FindRelation("timetable")->Scan([&](const Ref&, const Tuple& t) {
+    Tuple key{t.at(0), t.at(1), t.at(2)};
+    const bool inserted =
+        table
+            .FindOrInsert(key.Hash(),
+                          [&](uint32_t pos) { return keys[pos] == key; })
+            .second;
+    EXPECT_TRUE(inserted) << "duplicate key " << key.ToString();
+    keys.push_back(std::move(key));
+    return true;
+  });
+  return table.MaxProbeLength();
+}
+
+TEST(ValueHashQualityTest, TimetableKeysProbeShort) {
+  Database small;
+  ASSERT_TRUE(CreateUniversitySchema(&small).ok());
+  ASSERT_TRUE(PopulateSmallExample(&small).ok());
+  EXPECT_LE(MaxTimetableKeyProbe(small), 4u);
+
+  // The synthetic generator at n = 10000 (timetable 30000 rows): small
+  // dense integer ranges and a five-valued enum in one composite key.
+  Database scaled;
+  ASSERT_TRUE(CreateUniversitySchema(&scaled).ok());
+  UniversityScale scale;
+  scale.employees = 10000;
+  scale.papers = 0;
+  scale.courses = 5000;
+  scale.timetable = 30000;
+  ASSERT_TRUE(PopulateSynthetic(&scaled, scale).ok());
+  ASSERT_EQ(scaled.FindRelation("timetable")->cardinality(), 30000u);
+  EXPECT_LE(MaxTimetableKeyProbe(scaled), kMaxProbeBound);
+
+  // Every key of a dense grid: 200 employees x 60 courses x 5 days.
+  FlatHashTable grid;
+  uint32_t n = 0;
+  for (int64_t e = 1; e <= 200; ++e) {
+    for (int64_t c = 1; c <= 60; ++c) {
+      for (int32_t d = 0; d < 5; ++d) {
+        const Tuple key{Value::MakeInt(e), Value::MakeInt(c),
+                        Value::MakeEnum(d)};
+        // Keys are distinct by construction; only the probe walk matters.
+        grid.FindOrInsert(key.Hash(), [](uint32_t) { return false; });
+        ++n;
+      }
+    }
+  }
+  ASSERT_EQ(grid.size(), n);
+  EXPECT_LE(grid.MaxProbeLength(), kMaxProbeBound);
 }
 
 TEST(ValueTest, ToStringFormats) {
